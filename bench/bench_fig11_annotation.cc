@@ -91,7 +91,7 @@ double MultiSubjectAnnotateOnce(double factor, BackendKind kind,
   fleet.reserve(subjects);
   for (size_t s = 0; s < subjects; ++s) {
     engine::ControllerOptions opt;
-    opt.optimize_policy = false;
+    opt.optimize_policies = false;
     opt.enable_rule_cache = cached;
     opt.shared_rule_cache = cached ? &cache : nullptr;
     opt.shared_containment_cache = &containment;

@@ -76,7 +76,8 @@ FleetPoint RunFleet(double factor, BackendKind kind, size_t subjects,
   size_t update_count = std::min<size_t>(3, policy->size());
   Timer update;
   for (size_t u = 0; u < update_count; ++u) {
-    auto stats = msc.Update(xpath::ToString(policy->rules()[u].resource));
+    auto stats = msc.ApplyBatch({engine::BatchOp::Delete(
+        xpath::ToString(policy->rules()[u].resource))});
     XMLAC_CHECK_MSG(stats.ok(), stats.status().ToString());
   }
   out.update_s = update.ElapsedSeconds();

@@ -103,7 +103,8 @@ int main() {
   }
 
   // A broadcast update: discharge patient 000.
-  auto stats = msc.Update("//patient[psn=\"000\"]");
+  auto stats =
+      msc.ApplyBatch({engine::BatchOp::Delete("//patient[psn=\"000\"]")});
   if (stats.ok()) {
     std::printf("discharged patient 000; per-subject rules triggered:");
     for (const auto& [name, s] : *stats) {

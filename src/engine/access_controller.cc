@@ -8,25 +8,6 @@
 
 namespace xmlac::engine {
 
-namespace {
-
-ControllerOptions LegacyOptions(bool optimize_policy,
-                                xpath::ContainmentCache* containment_cache) {
-  ControllerOptions options;
-  options.optimize_policy = optimize_policy;
-  options.shared_containment_cache = containment_cache;
-  return options;
-}
-
-}  // namespace
-
-AccessController::AccessController(
-    std::unique_ptr<Backend> backend, bool optimize_policy,
-    xpath::ContainmentCache* shared_containment_cache)
-    : AccessController(std::move(backend),
-                       LegacyOptions(optimize_policy,
-                                     shared_containment_cache)) {}
-
 AccessController::AccessController(std::unique_ptr<Backend> backend,
                                    const ControllerOptions& options)
     : backend_(std::move(backend)),
@@ -109,7 +90,7 @@ Status AccessController::InstallPolicy(policy::Policy policy, bool annotate) {
   obs::ScopedSpan span(&tracer_, "set_policy");
   obs::ScopedTimer timer("engine.set_policy_us");
   optimizer_stats_ = policy::OptimizerStats();
-  if (options_.optimize_policy) {
+  if (options_.optimize_policies) {
     // Schema-aware pruning first (rules that cannot match any valid
     // document), then containment-based redundancy elimination (Fig. 4).
     obs::ScopedSpan opt_span("optimize");
@@ -203,38 +184,6 @@ Result<std::vector<UniversalId>> AccessController::PrepareReannotation(
   return old_scope;
 }
 
-Result<UpdateStats> AccessController::Update(std::string_view xpath) {
-  if (!policy_set_ || trigger_ == nullptr) {
-    return Status::Internal("no policy set");
-  }
-  obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
-  obs::ScopedSpan span(&tracer_, "update");
-  obs::ScopedTimer timer("engine.update_us");
-  obs::IncrementCounter("engine.updates");
-  XMLAC_ASSIGN_OR_RETURN(xpath::Path u, xpath::ParsePath(xpath));
-  UpdateStats stats;
-  std::vector<size_t> triggered = trigger_->Trigger(u);
-  stats.rules_triggered = triggered.size();
-  AnnotationContext ctx;
-  bool use_ctx = false;
-  XMLAC_ASSIGN_OR_RETURN(std::vector<UniversalId> old_scope,
-                         PrepareReannotation(triggered, &ctx, &use_ctx));
-  {
-    obs::ScopedSpan delete_span("delete");
-    XMLAC_ASSIGN_OR_RETURN(stats.nodes_deleted, backend_->DeleteWhere(u));
-    if (delete_span.active()) {
-      delete_span.AddCount("nodes_deleted",
-                           static_cast<int64_t>(stats.nodes_deleted));
-    }
-  }
-  obs::IncrementCounter("engine.nodes_deleted", stats.nodes_deleted);
-  XMLAC_ASSIGN_OR_RETURN(
-      stats.reannotation,
-      Reannotate(backend_.get(), policy_, triggered, old_scope,
-                 use_ctx ? &ctx : nullptr));
-  return stats;
-}
-
 namespace {
 
 // Appends to `out` the absolute path `base`/<labels of every element in the
@@ -265,22 +214,95 @@ void FragmentPaths(const xpath::Path& base, const xml::Document& fragment,
 
 }  // namespace
 
-Result<UpdateStats> AccessController::Insert(std::string_view target_xpath,
-                                             std::string_view fragment_xml) {
+Result<std::vector<ParsedOp>> ParseBatch(const std::vector<BatchOp>& ops) {
+  std::vector<ParsedOp> parsed(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    parsed[i].kind = ops[i].kind;
+    XMLAC_ASSIGN_OR_RETURN(parsed[i].path, xpath::ParsePath(ops[i].xpath));
+    if (ops[i].kind == BatchOp::Kind::kInsert) {
+      XMLAC_ASSIGN_OR_RETURN(parsed[i].fragment,
+                             xml::ParseDocument(ops[i].fragment_xml));
+    }
+  }
+  return parsed;
+}
+
+Status ApplyOps(Backend* backend, const std::vector<ParsedOp>& ops,
+                BatchStats* stats) {
+  for (const ParsedOp& op : ops) {
+    if (op.kind == BatchOp::Kind::kDelete) {
+      obs::ScopedSpan span("delete");
+      XMLAC_ASSIGN_OR_RETURN(size_t deleted, backend->DeleteWhere(op.path));
+      stats->nodes_deleted += deleted;
+      if (span.active()) {
+        span.AddCount("nodes_deleted", static_cast<int64_t>(deleted));
+      }
+    } else {
+      obs::ScopedSpan span("insert_fragment");
+      XMLAC_ASSIGN_OR_RETURN(size_t inserted,
+                             backend->InsertUnder(op.path, op.fragment));
+      stats->nodes_inserted += inserted;
+      if (span.active()) {
+        span.AddCount("nodes_inserted", static_cast<int64_t>(inserted));
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Result<BatchStats> AccessController::Update(std::string_view xpath) {
+  XMLAC_ASSIGN_OR_RETURN(std::vector<ParsedOp> ops,
+                         ParseBatch({BatchOp::Delete(std::string(xpath))}));
+  return RunUpdate("update", "engine.update_us", "engine.updates", ops);
+}
+
+Result<BatchStats> AccessController::Insert(std::string_view target_xpath,
+                                            std::string_view fragment_xml) {
+  XMLAC_ASSIGN_OR_RETURN(
+      std::vector<ParsedOp> ops,
+      ParseBatch({BatchOp::Insert(std::string(target_xpath),
+                                  std::string(fragment_xml))}));
+  return RunUpdate("insert", "engine.insert_us", "engine.inserts", ops);
+}
+
+Result<BatchStats> AccessController::ApplyBatch(
+    const std::vector<BatchOp>& ops) {
+  XMLAC_ASSIGN_OR_RETURN(std::vector<ParsedOp> parsed, ParseBatch(ops));
+  return ApplyBatch(parsed);
+}
+
+Result<BatchStats> AccessController::ApplyBatch(
+    const std::vector<ParsedOp>& ops) {
+  return RunUpdate("apply_batch", "engine.batch_us", "engine.batches", ops);
+}
+
+Result<BatchStats> AccessController::RunUpdate(
+    const char* span_name, const char* timer_name, const char* counter,
+    const std::vector<ParsedOp>& ops) {
   if (!policy_set_ || trigger_ == nullptr) {
     return Status::Internal("no policy set");
   }
+  BatchStats stats;
+  if (ops.empty()) return stats;
   obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
-  obs::ScopedSpan span(&tracer_, "insert");
-  obs::ScopedTimer timer("engine.insert_us");
-  obs::IncrementCounter("engine.inserts");
-  XMLAC_ASSIGN_OR_RETURN(xpath::Path target, xpath::ParsePath(target_xpath));
-  XMLAC_ASSIGN_OR_RETURN(xml::Document fragment,
-                         xml::ParseDocument(fragment_xml));
+  obs::ScopedSpan span(&tracer_, span_name);
+  obs::ScopedTimer timer(timer_name);
+  obs::IncrementCounter(counter);
+  obs::IncrementCounter("engine.batch_ops", ops.size());
+  stats.ops = ops.size();
 
-  // Union of trigger sets over every path the insert materialises.
+  // Union of trigger sets over every update path the ops touch: a delete's
+  // selector, and for an insert the path of every element the fragment
+  // introduces.  Trigger matches on paths, not data, so the pre-mutation
+  // probe is valid for every op regardless of application order.
   std::vector<xpath::Path> touched;
-  FragmentPaths(target, fragment, &touched);
+  for (const ParsedOp& op : ops) {
+    if (op.kind == BatchOp::Kind::kDelete) {
+      touched.push_back(op.path);
+    } else {
+      FragmentPaths(op.path, op.fragment, &touched);
+    }
+  }
   std::vector<bool> fired(policy_.size(), false);
   for (const xpath::Path& u : touched) {
     for (size_t i : trigger_->Trigger(u)) fired[i] = true;
@@ -289,113 +311,15 @@ Result<UpdateStats> AccessController::Insert(std::string_view target_xpath,
   for (size_t i = 0; i < fired.size(); ++i) {
     if (fired[i]) triggered.push_back(i);
   }
-
-  UpdateStats stats;
   stats.rules_triggered = triggered.size();
+
+  // One pre-update scope snapshot, then every mutation in order, then one
+  // partial re-annotation.
   AnnotationContext ctx;
   bool use_ctx = false;
   XMLAC_ASSIGN_OR_RETURN(std::vector<UniversalId> old_scope,
                          PrepareReannotation(triggered, &ctx, &use_ctx));
-  {
-    obs::ScopedSpan insert_span("insert_fragment");
-    XMLAC_ASSIGN_OR_RETURN(stats.nodes_inserted,
-                           backend_->InsertUnder(target, fragment));
-    if (insert_span.active()) {
-      insert_span.AddCount("nodes_inserted",
-                           static_cast<int64_t>(stats.nodes_inserted));
-    }
-  }
-  obs::IncrementCounter("engine.nodes_inserted", stats.nodes_inserted);
-  XMLAC_ASSIGN_OR_RETURN(
-      stats.reannotation,
-      Reannotate(backend_.get(), policy_, triggered, old_scope,
-                 use_ctx ? &ctx : nullptr));
-  return stats;
-}
-
-Result<BatchStats> AccessController::ApplyBatch(
-    const std::vector<BatchOp>& ops) {
-  if (!policy_set_ || trigger_ == nullptr) {
-    return Status::Internal("no policy set");
-  }
-  BatchStats stats;
-  if (ops.empty()) return stats;
-  obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
-  obs::ScopedSpan span(&tracer_, "apply_batch");
-  obs::ScopedTimer timer("engine.batch_us");
-  obs::IncrementCounter("engine.batches");
-  obs::IncrementCounter("engine.batch_ops", ops.size());
-  stats.ops = ops.size();
-
-  // Parse every op up front — a malformed op fails the whole batch before
-  // any mutation (batches are all-or-nothing at the parse level).
-  struct ParsedOp {
-    const BatchOp* op;
-    xpath::Path path;
-    xml::Document fragment;  // empty for deletes
-  };
-  std::vector<ParsedOp> parsed;
-  parsed.reserve(ops.size());
-  for (const BatchOp& op : ops) {
-    ParsedOp p;
-    p.op = &op;
-    XMLAC_ASSIGN_OR_RETURN(p.path, xpath::ParsePath(op.xpath));
-    if (op.kind == BatchOp::Kind::kInsert) {
-      XMLAC_ASSIGN_OR_RETURN(p.fragment, xml::ParseDocument(op.fragment_xml));
-    }
-    parsed.push_back(std::move(p));
-  }
-
-  // Union of trigger sets over every update path the batch touches —
-  // computed once, which is the amortization this API exists for.  Trigger
-  // matches on paths, not data, so the pre-mutation probe is valid for
-  // every op regardless of application order.
-  std::vector<bool> fired(policy_.size(), false);
-  {
-    obs::ScopedSpan trigger_span("batch_trigger");
-    std::vector<xpath::Path> touched;
-    for (const ParsedOp& p : parsed) {
-      if (p.op->kind == BatchOp::Kind::kDelete) {
-        touched.push_back(p.path);
-      } else {
-        FragmentPaths(p.path, p.fragment, &touched);
-      }
-    }
-    for (const xpath::Path& u : touched) {
-      for (size_t i : trigger_->Trigger(u)) fired[i] = true;
-    }
-  }
-  std::vector<size_t> triggered;
-  for (size_t i = 0; i < fired.size(); ++i) {
-    if (fired[i]) triggered.push_back(i);
-  }
-  stats.rules_triggered = triggered.size();
-
-  // One pre-batch scope snapshot, then all mutations in submission order,
-  // then one partial re-annotation.
-  AnnotationContext ctx;
-  bool use_ctx = false;
-  XMLAC_ASSIGN_OR_RETURN(std::vector<UniversalId> old_scope,
-                         PrepareReannotation(triggered, &ctx, &use_ctx));
-  {
-    obs::ScopedSpan apply_span("batch_apply");
-    for (const ParsedOp& p : parsed) {
-      if (p.op->kind == BatchOp::Kind::kDelete) {
-        XMLAC_ASSIGN_OR_RETURN(size_t deleted, backend_->DeleteWhere(p.path));
-        stats.nodes_deleted += deleted;
-      } else {
-        XMLAC_ASSIGN_OR_RETURN(size_t inserted,
-                               backend_->InsertUnder(p.path, p.fragment));
-        stats.nodes_inserted += inserted;
-      }
-    }
-    if (apply_span.active()) {
-      apply_span.AddCount("nodes_deleted",
-                          static_cast<int64_t>(stats.nodes_deleted));
-      apply_span.AddCount("nodes_inserted",
-                          static_cast<int64_t>(stats.nodes_inserted));
-    }
-  }
+  XMLAC_RETURN_IF_ERROR(ApplyOps(backend_.get(), ops, &stats));
   obs::IncrementCounter("engine.nodes_deleted", stats.nodes_deleted);
   obs::IncrementCounter("engine.nodes_inserted", stats.nodes_inserted);
   XMLAC_ASSIGN_OR_RETURN(
@@ -447,7 +371,7 @@ Status AccessController::RestoreSigns(char default_sign,
 }
 
 Result<BatchStats> AccessController::ReplayBatchDecisions(
-    const std::vector<BatchOp>& ops, const std::vector<UniversalId>& marked,
+    const std::vector<ParsedOp>& ops, const std::vector<UniversalId>& marked,
     const std::vector<UniversalId>& cleared) {
   obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
   obs::ScopedSpan span(&tracer_, "replay_batch");
@@ -458,19 +382,7 @@ Result<BatchStats> AccessController::ReplayBatchDecisions(
   // Re-apply the mutations.  The restored arena is byte-identical to the
   // pre-batch original (tombstones included), so the same XPath ops select
   // the same nodes and allocate the same NodeIds the original run did.
-  for (const BatchOp& op : ops) {
-    XMLAC_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(op.xpath));
-    if (op.kind == BatchOp::Kind::kDelete) {
-      XMLAC_ASSIGN_OR_RETURN(size_t deleted, backend_->DeleteWhere(path));
-      stats.nodes_deleted += deleted;
-    } else {
-      XMLAC_ASSIGN_OR_RETURN(xml::Document fragment,
-                             xml::ParseDocument(op.fragment_xml));
-      XMLAC_ASSIGN_OR_RETURN(size_t inserted,
-                             backend_->InsertUnder(path, fragment));
-      stats.nodes_inserted += inserted;
-    }
-  }
+  XMLAC_RETURN_IF_ERROR(ApplyOps(backend_.get(), ops, &stats));
   // Then the recorded sign decisions.  SetSigns skips dead ids, so deltas
   // recorded before a later delete stay harmless.
   char def = CurrentDefaultSign();

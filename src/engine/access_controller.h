@@ -28,24 +28,17 @@
 
 namespace xmlac::engine {
 
-struct ControllerOptions {
-  bool optimize_policy = true;
+// Execution knobs every layer that runs the engine shares.  Declared once:
+// MultiSubjectOptions and serve::ServerOptions extend it, and each layer
+// hands its base down unchanged (the fleet to every subject controller).
+struct ExecOptions {
+  // Schema pruning + containment-based redundancy elimination (Fig. 4)
+  // before annotation.
+  bool optimize_policies = true;
 
   // Rule node-set cache (docs/performance.md): memoizes each rule's scope
-  // as a bitmap and turns sign writes into diffs.  When enabled with no
-  // shared cache the controller owns a private one.  A shared cache must
-  // outlive the controller, and every controller sharing it must replicate
-  // the SAME document and receive every update (the MultiSubjectController
-  // guarantees both for its fleet; do not route updates around it).
+  // as a bitmap and turns sign writes into diffs.
   bool enable_rule_cache = true;
-  RuleScopeCache* shared_rule_cache = nullptr;
-
-  // Shared containment cache (see the constructor comment below).
-  xpath::ContainmentCache* shared_containment_cache = nullptr;
-
-  // Worker threads for cache-miss rule evaluation (0 = auto, 1 = serial);
-  // only effective on backends that SupportsParallelEval().
-  size_t parallel_rules = 0;
 
   // Shard-parallel execution (common/shard.h, docs/performance.md): fans the
   // hot loops — structural-index joins, Fig. 5 bitmap combination, relational
@@ -54,19 +47,31 @@ struct ControllerOptions {
   // capped); results are byte-identical to serial for any shard count.
   bool shard_parallel = true;
   size_t shard_threads = 0;
+};
+
+struct ControllerOptions : ExecOptions {
+  // With the rule cache enabled and no shared cache the controller owns a
+  // private one.  A shared cache must outlive the controller, and every
+  // controller sharing it must replicate the SAME document and receive
+  // every update (the MultiSubjectController guarantees both for its fleet;
+  // do not route updates around it).
+  RuleScopeCache* shared_rule_cache = nullptr;
+
+  // Shared containment cache: several controllers — e.g. the per-subject
+  // replicas of a MultiSubjectController — memoize containment into one
+  // thread-safe table.  The caller keeps ownership and must keep it alive
+  // for the controller's lifetime.
+  xpath::ContainmentCache* shared_containment_cache = nullptr;
+
+  // Worker threads for cache-miss rule evaluation (0 = auto, 1 = serial);
+  // only effective on backends that SupportsParallelEval().
+  size_t parallel_rules = 0;
 
   // Fault injection for the differential harness: skip the trigger-driven
   // evictions (every entry is promoted across updates instead), leaving
   // stale bitmaps behind — `xmlac_fuzz --inject-bug stale-cache` proves the
   // oracle catches exactly this.
   bool inject_stale_cache = false;
-};
-
-struct UpdateStats {
-  size_t nodes_deleted = 0;
-  size_t nodes_inserted = 0;
-  size_t rules_triggered = 0;
-  AnnotateStats reannotation;
 };
 
 // One update of a coalesced batch (see ApplyBatch).
@@ -91,6 +96,18 @@ struct BatchOp {
   }
 };
 
+// A BatchOp with its XPath and insert fragment parsed.
+struct ParsedOp {
+  BatchOp::Kind kind = BatchOp::Kind::kDelete;
+  xpath::Path path;        // delete selector, or insert target
+  xml::Document fragment;  // insert only
+};
+
+// Parses every op, failing on the first malformed one — before anything
+// mutates, so a batch is all-or-nothing at the parse level.
+Result<std::vector<ParsedOp>> ParseBatch(const std::vector<BatchOp>& ops);
+
+// What one update (a single delete/insert or a coalesced batch) did.
 struct BatchStats {
   size_t ops = 0;
   size_t nodes_deleted = 0;
@@ -102,18 +119,16 @@ struct BatchStats {
   AnnotateStats reannotation;
 };
 
+// The mutate step of every update: applies `ops` to `backend` in order
+// (one "delete"/"insert_fragment" span each) and adds the node counts to
+// `stats`.  No triggering and no re-annotation.
+Status ApplyOps(Backend* backend, const std::vector<ParsedOp>& ops,
+                BatchStats* stats);
+
 class AccessController {
  public:
-  // `shared_containment_cache` (optional) replaces the controller's own
-  // cache so several controllers — e.g. the per-subject replicas of a
-  // MultiSubjectController, or serving-layer workers — memoize containment
-  // into one table.  The cache is thread-safe; the caller keeps ownership
-  // and must keep it alive for the controller's lifetime.
-  explicit AccessController(
-      std::unique_ptr<Backend> backend, bool optimize_policy = true,
-      xpath::ContainmentCache* shared_containment_cache = nullptr);
-  AccessController(std::unique_ptr<Backend> backend,
-                   const ControllerOptions& options);
+  explicit AccessController(std::unique_ptr<Backend> backend,
+                            const ControllerOptions& options = {});
   ~AccessController();
 
   // Parses and loads the schema + document into the backend.
@@ -128,8 +143,14 @@ class AccessController {
   // All-or-nothing read request.
   Result<RequestOutcome> Query(std::string_view xpath);
 
-  // Delete update: Trigger -> delete -> partial re-annotation.
-  Result<UpdateStats> Update(std::string_view xpath);
+  // Every update runs one procedure (Sec. 4, Fig. 6): Trigger over the
+  // union of the ops' update paths, snapshot the triggered scopes, apply
+  // the deletes/inserts in order, then re-annotate the triggered scopes
+  // once.  The entry points differ only in their top-level span and
+  // metrics.
+
+  // Delete update: one-op batch under an "update" span.
+  Result<BatchStats> Update(std::string_view xpath);
 
   // Insert update (the paper's other update kind): parses `fragment_xml`,
   // inserts a copy under every node selected by `target_xpath`, and
@@ -137,16 +158,18 @@ class AccessController {
   // every element the fragment introduces (target/rootlabel, target/
   // rootlabel/child, ...), so rules matching nodes anywhere inside the new
   // subtree — or whose predicates now hold — fire.
-  Result<UpdateStats> Insert(std::string_view target_xpath,
-                             std::string_view fragment_xml);
+  Result<BatchStats> Insert(std::string_view target_xpath,
+                            std::string_view fragment_xml);
 
-  // Coalesced update batch: computes the triggered rule set once over the
-  // *union* of every op's update paths, applies all deletes/inserts in
-  // order, then re-annotates once.  Equivalent end state to applying the
-  // ops one at a time, but with a single Trigger/Reannotate round — the
-  // serving layer's writer thread amortizes re-annotation across queued
-  // requests this way.  An empty batch is a no-op.
+  // Coalesced update batch: one Trigger/Reannotate round for all ops, with
+  // the same end state as applying them one at a time — the serving
+  // layer's writer thread amortizes re-annotation across queued requests
+  // this way.  A malformed op fails the batch before any mutation.  An
+  // empty batch is a no-op.
   Result<BatchStats> ApplyBatch(const std::vector<BatchOp>& ops);
+  // The same over ops the caller already parsed (the fleet parses each
+  // batch once for its master and every replica).
+  Result<BatchStats> ApplyBatch(const std::vector<ParsedOp>& ops);
 
   // Re-annotates everything from scratch (the baseline Fig. 12 compares
   // against).
@@ -170,7 +193,7 @@ class AccessController {
   // evaluation, no re-annotation.  `marked` flips ids to the non-default
   // sign, `cleared` flips them back to the default.
   Result<BatchStats> ReplayBatchDecisions(
-      const std::vector<BatchOp>& ops,
+      const std::vector<ParsedOp>& ops,
       const std::vector<UniversalId>& marked,
       const std::vector<UniversalId>& cleared);
 
@@ -217,6 +240,13 @@ class AccessController {
 
   // Shared body of SetPolicyParsed / SetPolicyForRecovery.
   Status InstallPolicy(policy::Policy policy, bool annotate);
+
+  // The update procedure behind Update / Insert / ApplyBatch, run under a
+  // top-level span `span` with latency histogram `timer` and call counter
+  // `counter`.
+  Result<BatchStats> RunUpdate(const char* span, const char* timer,
+                               const char* counter,
+                               const std::vector<ParsedOp>& ops);
 
   // Pre-mutation cache work for an update with triggered set `triggered`:
   // advances the epoch (when this controller owns it), snapshots the

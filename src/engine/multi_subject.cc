@@ -5,17 +5,8 @@
 
 #include "common/parallel.h"
 #include "xml/parser.h"
-#include "xpath/parser.h"
 
 namespace xmlac::engine {
-
-MultiSubjectController::MultiSubjectController(BackendFactory factory,
-                                               bool optimize_policies)
-    : MultiSubjectController(std::move(factory), [&] {
-        MultiSubjectOptions options;
-        options.optimize_policies = optimize_policies;
-        return options;
-      }()) {}
 
 MultiSubjectController::MultiSubjectController(
     BackendFactory factory, const MultiSubjectOptions& options)
@@ -43,6 +34,18 @@ Status MultiSubjectController::LoadParsed(const xml::Dtd& dtd,
   return Status::OK();
 }
 
+Result<std::unique_ptr<AccessController>>
+MultiSubjectController::NewSubjectController() {
+  ControllerOptions copt;
+  static_cast<ExecOptions&>(copt) = options_;
+  copt.shared_rule_cache =
+      options_.enable_rule_cache ? &rule_cache_ : nullptr;
+  copt.shared_containment_cache = &containment_cache_;
+  auto controller = std::make_unique<AccessController>(factory_(), copt);
+  XMLAC_RETURN_IF_ERROR(controller->LoadParsed(*dtd_, master_.document()));
+  return controller;
+}
+
 Status MultiSubjectController::AddSubject(std::string_view subject,
                                           std::string_view policy_text) {
   if (!loaded_) return Status::Internal("no document loaded");
@@ -50,19 +53,8 @@ Status MultiSubjectController::AddSubject(std::string_view subject,
     return Status::AlreadyExists("subject '" + std::string(subject) +
                                  "' already registered");
   }
-  ControllerOptions copt;
-  copt.optimize_policy = options_.optimize_policies;
-  copt.enable_rule_cache = options_.enable_rule_cache;
-  copt.shared_rule_cache =
-      options_.enable_rule_cache ? &rule_cache_ : nullptr;
-  copt.shared_containment_cache = &containment_cache_;
-  copt.parallel_rules = options_.parallel_rules;
-  copt.shard_parallel = options_.shard_parallel;
-  copt.shard_threads = options_.shard_threads;
-  copt.inject_stale_cache = options_.inject_stale_cache;
-  auto controller = std::make_unique<AccessController>(factory_(), copt);
-  XMLAC_RETURN_IF_ERROR(
-      controller->LoadParsed(*dtd_, master_.document()));
+  XMLAC_ASSIGN_OR_RETURN(std::unique_ptr<AccessController> controller,
+                         NewSubjectController());
   XMLAC_RETURN_IF_ERROR(controller->SetPolicy(policy_text));
   subjects_[std::string(subject)] = std::move(controller);
   return Status::OK();
@@ -100,9 +92,9 @@ Result<RequestOutcome> MultiSubjectController::Query(std::string_view subject,
   return it->second->Query(xpath);
 }
 
-template <typename Stats>
-Result<std::map<std::string, Stats>> MultiSubjectController::FanOut(
-    const std::function<Result<Stats>(AccessController*)>& fn) {
+Result<std::map<std::string, BatchStats>> MultiSubjectController::FanOut(
+    const std::function<Result<BatchStats>(const std::string&,
+                                           AccessController*)>& fn) {
   // One shared-epoch tick per logical document change, before any subject
   // starts: every replica then snapshots pre-update scopes at epoch-1 and
   // re-annotates at the new epoch (see rule_cache.h).
@@ -112,13 +104,14 @@ Result<std::map<std::string, Stats>> MultiSubjectController::FanOut(
   for (auto& [name, controller] : subjects_) {
     flat.emplace_back(&name, controller.get());
   }
-  std::vector<Result<Stats>> results(flat.size(), Result<Stats>(Stats{}));
+  std::vector<Result<BatchStats>> results(flat.size(), BatchStats{});
   // Replicas are independent stores; the containment and rule caches they
   // share are thread-safe, and each controller installs its own obs
   // context, so the fan-out is a plain parallel map.
-  ParallelFor(flat.size(), options_.parallel_subjects,
-              [&](size_t i) { results[i] = fn(flat[i].second); });
-  std::map<std::string, Stats> out;
+  ParallelFor(flat.size(), options_.parallel_subjects, [&](size_t i) {
+    results[i] = fn(*flat[i].first, flat[i].second);
+  });
+  std::map<std::string, BatchStats> out;
   for (size_t i = 0; i < flat.size(); ++i) {
     if (!results[i].ok()) return results[i].status();
     out[*flat[i].first] = std::move(*results[i]);
@@ -126,15 +119,21 @@ Result<std::map<std::string, Stats>> MultiSubjectController::FanOut(
   return out;
 }
 
-Result<std::map<std::string, UpdateStats>> MultiSubjectController::Update(
-    std::string_view xpath) {
+Result<std::vector<ParsedOp>> MultiSubjectController::ApplyToMaster(
+    const std::vector<BatchOp>& ops) {
   if (!loaded_) return Status::Internal("no document loaded");
-  XMLAC_ASSIGN_OR_RETURN(xpath::Path u, xpath::ParsePath(xpath));
-  auto deleted = master_.DeleteWhere(u);
-  if (!deleted.ok()) return deleted.status();
-  std::string xpath_copy(xpath);
-  return FanOut<UpdateStats>(
-      [&xpath_copy](AccessController* c) { return c->Update(xpath_copy); });
+  XMLAC_ASSIGN_OR_RETURN(std::vector<ParsedOp> parsed, ParseBatch(ops));
+  BatchStats ignored;
+  XMLAC_RETURN_IF_ERROR(ApplyOps(&master_, parsed, &ignored));
+  return parsed;
+}
+
+Result<std::map<std::string, BatchStats>> MultiSubjectController::ApplyBatch(
+    const std::vector<BatchOp>& ops) {
+  XMLAC_ASSIGN_OR_RETURN(std::vector<ParsedOp> parsed, ApplyToMaster(ops));
+  return FanOut([&parsed](const std::string&, AccessController* c) {
+    return c->ApplyBatch(parsed);
+  });
 }
 
 Result<std::map<std::string, BatchStats>> MultiSubjectController::ApplyBatch(
@@ -184,18 +183,8 @@ Status MultiSubjectController::RestoreSubject(
     return Status::AlreadyExists("subject '" + std::string(subject) +
                                  "' already registered");
   }
-  ControllerOptions copt;
-  copt.optimize_policy = options_.optimize_policies;
-  copt.enable_rule_cache = options_.enable_rule_cache;
-  copt.shared_rule_cache =
-      options_.enable_rule_cache ? &rule_cache_ : nullptr;
-  copt.shared_containment_cache = &containment_cache_;
-  copt.parallel_rules = options_.parallel_rules;
-  copt.shard_parallel = options_.shard_parallel;
-  copt.shard_threads = options_.shard_threads;
-  copt.inject_stale_cache = options_.inject_stale_cache;
-  auto controller = std::make_unique<AccessController>(factory_(), copt);
-  XMLAC_RETURN_IF_ERROR(controller->LoadParsed(*dtd_, master_.document()));
+  XMLAC_ASSIGN_OR_RETURN(std::unique_ptr<AccessController> controller,
+                         NewSubjectController());
   XMLAC_ASSIGN_OR_RETURN(policy::Policy parsed,
                          policy::ParsePolicy(policy_text));
   XMLAC_RETURN_IF_ERROR(controller->SetPolicyForRecovery(std::move(parsed)));
@@ -207,31 +196,14 @@ Status MultiSubjectController::RestoreSubject(
 Result<std::map<std::string, BatchStats>> MultiSubjectController::ReplayBatch(
     const std::vector<BatchOp>& ops,
     const std::map<std::string, SubjectDelta>& deltas) {
-  if (!loaded_) return Status::Internal("no document loaded");
-  // Master first, exactly as ApplyBatch does.
-  for (const BatchOp& op : ops) {
-    XMLAC_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(op.xpath));
-    if (op.kind == BatchOp::Kind::kDelete) {
-      XMLAC_RETURN_IF_ERROR(master_.DeleteWhere(path).status());
-    } else {
-      XMLAC_ASSIGN_OR_RETURN(xml::Document fragment,
-                             xml::ParseDocument(op.fragment_xml));
-      XMLAC_RETURN_IF_ERROR(master_.InsertUnder(path, fragment).status());
-    }
-  }
-  std::map<AccessController*, const SubjectDelta*> by_controller;
-  for (auto& [name, controller] : subjects_) {
+  XMLAC_ASSIGN_OR_RETURN(std::vector<ParsedOp> parsed, ApplyToMaster(ops));
+  static const SubjectDelta kNoDelta;
+  return FanOut([&parsed, &deltas](const std::string& name,
+                                   AccessController* c) {
     auto it = deltas.find(name);
-    by_controller[controller.get()] =
-        it == deltas.end() ? nullptr : &it->second;
-  }
-  static const std::vector<UniversalId> kNoDelta;
-  return FanOut<BatchStats>(
-      [&ops, &by_controller](AccessController* c) -> Result<BatchStats> {
-        const SubjectDelta* d = by_controller.at(c);
-        return c->ReplayBatchDecisions(ops, d != nullptr ? d->marked : kNoDelta,
-                                       d != nullptr ? d->cleared : kNoDelta);
-      });
+    const SubjectDelta& d = it == deltas.end() ? kNoDelta : it->second;
+    return c->ReplayBatchDecisions(parsed, d.marked, d.cleared);
+  });
 }
 
 void MultiSubjectController::RestoreStructuralLabels(
@@ -244,41 +216,6 @@ void MultiSubjectController::RestoreStructuralLabels(
       native->RestoreStructuralLabels(labels);
     }
   }
-}
-
-Result<std::map<std::string, BatchStats>> MultiSubjectController::ApplyBatch(
-    const std::vector<BatchOp>& ops) {
-  if (!loaded_) return Status::Internal("no document loaded");
-  // Master first, all ops in order (it carries no annotations, so there is
-  // nothing to coalesce there — just the mutations).
-  for (const BatchOp& op : ops) {
-    XMLAC_ASSIGN_OR_RETURN(xpath::Path path, xpath::ParsePath(op.xpath));
-    if (op.kind == BatchOp::Kind::kDelete) {
-      XMLAC_RETURN_IF_ERROR(master_.DeleteWhere(path).status());
-    } else {
-      XMLAC_ASSIGN_OR_RETURN(xml::Document fragment,
-                             xml::ParseDocument(op.fragment_xml));
-      XMLAC_RETURN_IF_ERROR(master_.InsertUnder(path, fragment).status());
-    }
-  }
-  return FanOut<BatchStats>(
-      [&ops](AccessController* c) { return c->ApplyBatch(ops); });
-}
-
-Result<std::map<std::string, UpdateStats>> MultiSubjectController::Insert(
-    std::string_view target_xpath, std::string_view fragment_xml) {
-  if (!loaded_) return Status::Internal("no document loaded");
-  XMLAC_ASSIGN_OR_RETURN(xpath::Path target, xpath::ParsePath(target_xpath));
-  XMLAC_ASSIGN_OR_RETURN(xml::Document fragment,
-                         xml::ParseDocument(fragment_xml));
-  auto inserted = master_.InsertUnder(target, fragment);
-  if (!inserted.ok()) return inserted.status();
-  std::string target_copy(target_xpath);
-  std::string fragment_copy(fragment_xml);
-  return FanOut<UpdateStats>(
-      [&target_copy, &fragment_copy](AccessController* c) {
-        return c->Insert(target_copy, fragment_copy);
-      });
 }
 
 }  // namespace xmlac::engine

@@ -29,22 +29,11 @@
 
 namespace xmlac::engine {
 
-struct MultiSubjectOptions {
-  bool optimize_policies = true;
-  // Share one rule node-set cache across subjects (and enable the bitmap
-  // sign-diff path in every subject controller).
-  bool enable_rule_cache = true;
+// The engine knobs (ExecOptions) reach every subject controller unchanged.
+struct MultiSubjectOptions : ExecOptions {
   // Worker threads for the per-subject broadcast fan-out (0 = auto,
   // 1 = serial).
   size_t parallel_subjects = 0;
-  // Per-subject cache-miss rule evaluation threads (0 = auto, 1 = serial).
-  size_t parallel_rules = 0;
-  // Shard-parallel hot loops inside every subject controller (forwarded to
-  // ControllerOptions::shard_parallel / shard_threads).
-  bool shard_parallel = true;
-  size_t shard_threads = 0;
-  // Forwarded test hook (see ControllerOptions::inject_stale_cache).
-  bool inject_stale_cache = false;
 };
 
 // Per-subject sign delta of one committed batch: the ids whose sign the
@@ -73,9 +62,7 @@ class MultiSubjectController {
   // `factory` builds one store per subject (mixing backends per subject is
   // allowed: the factory may return different kinds over its lifetime).
   explicit MultiSubjectController(BackendFactory factory,
-                                  bool optimize_policies = true);
-  MultiSubjectController(BackendFactory factory,
-                         const MultiSubjectOptions& options);
+                                  const MultiSubjectOptions& options = {});
 
   // Parses and installs the document; must precede AddSubject.
   Status Load(std::string_view dtd_text, std::string_view xml_text);
@@ -93,17 +80,12 @@ class MultiSubjectController {
   Result<RequestOutcome> Query(std::string_view subject,
                                std::string_view xpath);
 
-  // Broadcast updates: applied to the master copy and re-annotated in every
-  // subject's replica (concurrently, per `parallel_subjects`).  Per-subject
-  // stats are returned by subject name.
-  Result<std::map<std::string, UpdateStats>> Update(std::string_view xpath);
-  Result<std::map<std::string, UpdateStats>> Insert(
-      std::string_view target_xpath, std::string_view fragment_xml);
-
-  // Coalesced batch broadcast: every op is applied to the master and each
-  // subject replica re-annotates once for the whole batch (see
-  // AccessController::ApplyBatch).  The serving layer's writer thread is
-  // the intended caller.
+  // Broadcast update: the batch is parsed once (a malformed op fails it
+  // before anything mutates), applied to the master, and every subject
+  // replica re-annotates once for the whole batch (see
+  // AccessController::ApplyBatch), concurrently per `parallel_subjects`.
+  // Per-subject stats are returned by subject name.  The serving layer's
+  // writer thread is the intended caller.
   Result<std::map<std::string, BatchStats>> ApplyBatch(
       const std::vector<BatchOp>& ops);
 
@@ -165,11 +147,19 @@ class MultiSubjectController {
   AccessController* subject(std::string_view name);
 
  private:
+  // Parses `ops` and applies them to the master (the copy late subjects
+  // are built from); the parsed ops are then fanned out to the replicas.
+  Result<std::vector<ParsedOp>> ApplyToMaster(const std::vector<BatchOp>& ops);
+
+  // A subject controller over a fresh store, loaded with the master
+  // document and wired to the fleet's shared caches; policy not yet set.
+  Result<std::unique_ptr<AccessController>> NewSubjectController();
+
   // Applies `fn` to every subject on the broadcast pool and collects
   // per-subject results into a name-keyed map (first error wins).
-  template <typename Stats>
-  Result<std::map<std::string, Stats>> FanOut(
-      const std::function<Result<Stats>(AccessController*)>& fn);
+  Result<std::map<std::string, BatchStats>> FanOut(
+      const std::function<Result<BatchStats>(const std::string&,
+                                             AccessController*)>& fn);
 
   BackendFactory factory_;
   MultiSubjectOptions options_;

@@ -160,6 +160,7 @@ EventRing* WorkerRingPool::TryAcquire() {
       return entry->ring;
     }
   }
+  misses_.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
 }
 

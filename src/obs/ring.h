@@ -171,9 +171,9 @@ inline void EmitEvent(EventType type, uint16_t name, uint64_t arg,
 // FlightRecorder::AddRing "parallel-N" rings) that workers claim atomically
 // for the duration of one fan-out and release on exit.  Concurrent fan-outs
 // (server workers, nested ParallelFor) each claim distinct rings; when the
-// pool runs dry the extra workers simply run ring-less, exactly the old
-// behavior.  Rings are registered before any worker runs and never removed,
-// so iteration is lock-free.
+// pool runs dry the extra workers run ring-less (their spans are not
+// recorded) and the pool counts the miss.  Rings are registered before any
+// worker runs and never removed, so iteration is lock-free.
 
 class WorkerRingPool {
  public:
@@ -181,7 +181,8 @@ class WorkerRingPool {
   // Not thread-safe: call before the pool is published to workers.
   void Add(EventRing* ring);
 
-  // Claims an idle ring, or nullptr when all are busy.  Thread-safe.
+  // Claims an idle ring, or nullptr (counted in misses()) when all are
+  // busy.  Thread-safe.
   EventRing* TryAcquire();
 
   // Returns a ring obtained from TryAcquire.  nullptr is a no-op.
@@ -189,12 +190,17 @@ class WorkerRingPool {
 
   size_t size() const { return entries_.size(); }
 
+  // TryAcquire calls that found every ring busy: workers whose spans the
+  // recorder never saw.
+  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+
  private:
   struct Entry {
     EventRing* ring = nullptr;
     std::atomic<bool> busy{false};
   };
   std::vector<std::unique_ptr<Entry>> entries_;
+  std::atomic<uint64_t> misses_{0};
 };
 
 // The thread's installed pool (or nullptr), mirroring CurrentRing().

@@ -36,15 +36,7 @@ Status StoppedError() { return Status::Internal("server stopped"); }
 Server::Server(ServerOptions options)
     : options_(options),
       controller_([] { return std::make_unique<engine::NativeXmlBackend>(); },
-                  [&options] {
-                    engine::MultiSubjectOptions mopt;
-                    mopt.optimize_policies = options.optimize_policies;
-                    mopt.enable_rule_cache = options.enable_rule_cache;
-                    mopt.parallel_subjects = options.parallel_subjects;
-                    mopt.shard_parallel = options.shard_parallel;
-                    mopt.shard_threads = options.shard_threads;
-                    return mopt;
-                  }()),
+                  options),
       read_queue_(options.read_queue_capacity),
       write_queue_(options.write_queue_capacity) {
   if (options_.workers == 0) options_.workers = 1;
@@ -168,7 +160,7 @@ Status Server::Start() {
     if (options_.shard_parallel) {
       // Rings for ParallelFor workers spawned by sharded execution.  Sized
       // for the widest fan-out (auto parallelism); workers that find the
-      // pool exhausted simply run ring-less.
+      // pool exhausted run ring-less, counted in HealthSnapshot().
       worker_ring_pool_ = std::make_unique<obs::WorkerRingPool>();
       const size_t pool_size = options_.shard_threads != 0
                                    ? options_.shard_threads
@@ -333,6 +325,9 @@ ServerHealth Server::HealthSnapshot() {
   h.epoch_retired = epoch_stats.retired;
   h.epoch_reclaimed = epoch_stats.reclaimed;
   h.epoch_live_versions = epoch_stats.live;
+  if (worker_ring_pool_ != nullptr) {
+    h.worker_ring_pool_misses = worker_ring_pool_->misses();
+  }
   if (recorder_ != nullptr) {
     recorder_->Drain();  // fold in everything appended so far
     h.recorder = recorder_->Health();
@@ -371,6 +366,8 @@ std::string HealthText(const ServerHealth& health) {
   os << "epoch.live_versions " << health.epoch_live_versions << '\n';
   os << "serve.health.write_queue.depth " << health.write_queue_depth << '\n';
   os << "serve.health.write_queue.watermark " << health.write_queue_watermark
+     << '\n';
+  os << "obs.worker_ring_pool.misses " << health.worker_ring_pool_misses
      << '\n';
   os << obs::HealthToText(health.recorder);
   return os.str();

@@ -75,7 +75,11 @@ struct DurabilityOptions {
   size_t torn_tail_bytes = 0;
 };
 
-struct ServerOptions {
+// The engine knobs (optimize_policies, enable_rule_cache, shard_*,
+// parallel_subjects) are the fleet's MultiSubjectOptions, passed to it
+// unchanged.  With the flight recorder on, sharded ParallelFor workers
+// claim rings from a shared pool so their spans land in the recorder too.
+struct ServerOptions : engine::MultiSubjectOptions {
   size_t workers = 4;
   size_t read_queue_capacity = 1024;
   size_t write_queue_capacity = 1024;
@@ -83,18 +87,6 @@ struct ServerOptions {
   // per-request re-annotation (the Cheney-style per-request enforcement
   // cost the batching exists to beat).
   size_t max_batch = 64;
-  bool optimize_policies = true;
-  // Fleet-shared rule node-set cache + bitmap sign diffing in the batched
-  // re-annotation path, and the per-subject re-annotation fan-out width
-  // (0 = auto, 1 = serial).  See docs/performance.md.
-  bool enable_rule_cache = true;
-  size_t parallel_subjects = 0;
-  // Shard-parallel hot loops inside every subject controller (structural
-  // joins, bitmap combination, labeling — see docs/performance.md).  With
-  // the flight recorder on, ParallelFor workers claim rings from a shared
-  // pool so their spans land in the recorder too.
-  bool shard_parallel = true;
-  size_t shard_threads = 0;
   // Embed each subject's published structural IndexVersion in every
   // snapshot, so reads evaluate through the structural engine (the
   // default).  False pins snapshot reads to the naive evaluator — the
@@ -161,6 +153,9 @@ struct ServerHealth {
   uint64_t epoch_retired = 0;
   uint64_t epoch_reclaimed = 0;
   uint64_t epoch_live_versions = 0;
+  // Sharded ParallelFor workers that found every pooled recorder ring busy
+  // and ran unrecorded (obs::WorkerRingPool::misses).
+  uint64_t worker_ring_pool_misses = 0;
   obs::RecorderHealth recorder;
 };
 

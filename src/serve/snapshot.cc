@@ -34,17 +34,18 @@ Result<engine::RequestOutcome> QuerySnapshot(const Snapshot& snapshot,
   // loads and a version check.  Timed so the bench's max-sync-pause figure
   // is measured, not asserted.
   xpath::EvaluatorOptions options;
-  {
+  if (view.index != nullptr) {
     obs::ScopedTimer acquire("serve.read.index_acquire_us");
-    if (view.index != nullptr && view.index->Matches(doc)) {
-      options.use_structural_index = true;
-      options.index = view.index.get();
-    } else if (view.index != nullptr) {
+    if (!view.index->Matches(doc)) {
       // The snapshot carried a version that doesn't match its own clone —
       // the publish-with-snapshot invariant broke somewhere upstream.
-      // Answer correctly via the naive engine and surface it.
       obs::IncrementCounter("serve.read.index_stale");
+      return Status::Internal("snapshot index version does not match the "
+                              "document of subject '" +
+                              std::string(subject) + "'");
     }
+    options.use_structural_index = true;
+    options.index = view.index.get();
   }
   std::vector<xml::NodeId> nodes = xpath::Evaluate(query, doc, options);
   engine::RequestOutcome outcome;

@@ -32,8 +32,8 @@ namespace xmlac::serve {
 // snapshot read always sees a matching tree+signs+index triple and
 // evaluates through the structural engine without pinning an epoch (the
 // shared_ptr keeps the version alive for the snapshot's lifetime).  Null
-// when the backend's structural index is disabled; reads then fall back
-// to the naive evaluator.
+// when the snapshot was built without indexes (ServerOptions::
+// snapshot_index false); reads then use the naive evaluator.
 struct SubjectView {
   std::shared_ptr<const xml::Document> doc;
   std::shared_ptr<const xpath::IndexVersion> index;
@@ -79,11 +79,12 @@ class SnapshotSlot {
 // All-or-nothing read against a snapshot, mirroring engine::Request over a
 // native annotated backend.  Unlike engine::Request, a denial is *not* an
 // error status here — it is a normal serving outcome (granted == false,
-// with the selected/accessible tallies filled in).  Error statuses are
-// reserved for unknown subjects.  Evaluation uses the view's embedded
-// IndexVersion (structural engine); a missing or mismatched version counts
-// `serve.read.index_stale` and falls back to the naive evaluator — the
-// bench gate holds that counter at zero.
+// with the selected/accessible tallies filled in).  Evaluation uses the
+// view's embedded IndexVersion (structural engine), or the naive evaluator
+// when the view carries none.  Error statuses: NotFound for an unknown
+// subject, and Internal when the view's IndexVersion does not match its
+// document — a broken publish invariant, also counted as
+// `serve.read.index_stale` (the bench gate holds that counter at zero).
 Result<engine::RequestOutcome> QuerySnapshot(const Snapshot& snapshot,
                                              std::string_view subject,
                                              const xpath::Path& query);

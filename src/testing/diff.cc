@@ -35,7 +35,7 @@ std::string Describe(BackendKind kind, bool optimized,
 engine::ControllerOptions EngineOptions(bool optimize,
                                         const DiffOptions& options) {
   engine::ControllerOptions out;
-  out.optimize_policy = optimize;
+  out.optimize_policies = optimize;
   out.enable_rule_cache = options.rule_cache;
   out.shard_parallel = options.shard_parallel;
   out.inject_stale_cache = options.bug == InjectedBug::kStaleCache;
@@ -491,8 +491,10 @@ std::string CheckReannotation(const Instance& instance,
 }
 
 std::string CheckOptimizer(const Instance& instance) {
-  AccessController optimized(MakeBackend(BackendKind::kNative), true);
-  AccessController raw(MakeBackend(BackendKind::kNative), false);
+  engine::ControllerOptions raw_options;
+  raw_options.optimize_policies = false;
+  AccessController optimized(MakeBackend(BackendKind::kNative));
+  AccessController raw(MakeBackend(BackendKind::kNative), raw_options);
   if (!Setup(optimized, instance, instance.policy) ||
       !Setup(raw, instance, instance.policy)) {
     return "";

@@ -85,7 +85,7 @@ TEST_F(MultiSubjectTest, DuplicateSubjectRejected) {
 TEST_F(MultiSubjectTest, UpdateBroadcastsToAllSubjects) {
   // The nurse cannot see //patient while treatments exist.
   EXPECT_FALSE(msc_.Query("nurse", "//patient").ok());
-  auto stats = msc_.Update("//patient/treatment");
+  auto stats = msc_.ApplyBatch({BatchOp::Delete("//patient/treatment")});
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->size(), 3u);
   EXPECT_EQ(stats->at("nurse").nodes_deleted, 8u);
@@ -98,9 +98,10 @@ TEST_F(MultiSubjectTest, UpdateBroadcastsToAllSubjects) {
 }
 
 TEST_F(MultiSubjectTest, InsertBroadcastsToAllSubjects) {
-  auto stats = msc_.Insert("//patient[psn=\"099\"]",
-                           "<treatment><regular><med>x</med>"
-                           "<bill>123</bill></regular></treatment>");
+  auto stats = msc_.ApplyBatch(
+      {BatchOp::Insert("//patient[psn=\"099\"]",
+                       "<treatment><regular><med>x</med>"
+                       "<bill>123</bill></regular></treatment>")});
   ASSERT_TRUE(stats.ok()) << stats.status();
   // Billing now sees one more bill.
   auto bills = msc_.Query("billing", "//bill");
@@ -111,7 +112,7 @@ TEST_F(MultiSubjectTest, InsertBroadcastsToAllSubjects) {
 }
 
 TEST_F(MultiSubjectTest, LateSubjectSeesCurrentDocument) {
-  ASSERT_TRUE(msc_.Update("//experimental").ok());
+  ASSERT_TRUE(msc_.ApplyBatch({BatchOp::Delete("//experimental")}).ok());
   ASSERT_TRUE(msc_.AddSubject("auditor", kDoctorPolicy).ok());
   auto r = msc_.Query("auditor", "//experimental");
   ASSERT_TRUE(r.ok());
@@ -119,6 +120,27 @@ TEST_F(MultiSubjectTest, LateSubjectSeesCurrentDocument) {
   auto bills = msc_.Query("auditor", "//bill");
   ASSERT_TRUE(bills.ok());
   EXPECT_EQ(bills->ids.size(), 1u);  // the experimental bill went with it
+}
+
+// A batch is parsed whole before anything mutates: a malformed op fails it
+// with the master untouched, so a subject added afterwards still agrees
+// with the existing replicas.
+TEST_F(MultiSubjectTest, MalformedBatchLeavesMasterUnchanged) {
+  const size_t nodes_before = msc_.document().alive_count();
+  auto stats = msc_.ApplyBatch({BatchOp::Delete("//bill"),
+                                BatchOp::Insert("//patient", "<unclosed")});
+  EXPECT_FALSE(stats.ok());
+  EXPECT_EQ(msc_.document().alive_count(), nodes_before);
+  ASSERT_TRUE(msc_.AddSubject("auditor", kDoctorPolicy).ok());
+  auto late = msc_.Query("auditor", "//bill");
+  auto doctor = msc_.Query("doctor", "//bill");
+  ASSERT_TRUE(late.ok()) << late.status();
+  ASSERT_TRUE(doctor.ok()) << doctor.status();
+  EXPECT_FALSE(late->ids.empty());
+  EXPECT_EQ(late->ids, doctor->ids);
+  auto billing = msc_.Query("billing", "//bill");
+  ASSERT_TRUE(billing.ok()) << billing.status();
+  EXPECT_EQ(late->ids, billing->ids);
 }
 
 TEST_F(MultiSubjectTest, RemoveSubject) {

@@ -151,5 +151,20 @@ TEST(ScopedRingTest, EmitEventRoutesToCurrentRing) {
   EXPECT_EQ(out[0].arg, 2u);
 }
 
+// A worker that finds every pooled ring busy runs unrecorded; the pool
+// counts each such miss so the loss shows in the server's health.
+TEST(WorkerRingPoolTest, ExhaustedPoolCountsMisses) {
+  EventRing ring(8);
+  WorkerRingPool pool;
+  pool.Add(&ring);
+  EventRing* claimed = pool.TryAcquire();
+  EXPECT_EQ(claimed, &ring);
+  EXPECT_EQ(pool.TryAcquire(), nullptr);
+  EXPECT_EQ(pool.misses(), 1u);
+  pool.Release(claimed);
+  EXPECT_EQ(pool.TryAcquire(), &ring);
+  EXPECT_EQ(pool.misses(), 1u);
+}
+
 }  // namespace
 }  // namespace xmlac::obs

@@ -231,8 +231,8 @@ TEST(MultiSubjectCacheTest, SubjectsShareBitmapsAndMatchUncachedFleet) {
   // A broadcast update drives the trigger-based maintenance (evictions for
   // triggered rules, promotions for the rest) and must keep the fleets in
   // lockstep.
-  ASSERT_TRUE(cached.Update("//b").ok());
-  ASSERT_TRUE(plain.Update("//b").ok());
+  ASSERT_TRUE(cached.ApplyBatch({BatchOp::Delete("//b")}).ok());
+  ASSERT_TRUE(plain.ApplyBatch({BatchOp::Delete("//b")}).ok());
   stats = cached.rule_cache().GetStats();
   EXPECT_GT(stats.evictions + stats.promotions, 0u);
   ExpectSameAnswers(cached, plain);

@@ -250,6 +250,46 @@ TEST(ServeTest, HeldSnapshotIsImmuneToLaterUpdates) {
   server->Stop();
 }
 
+// A view whose IndexVersion does not match its own document breaks the
+// publish-with-snapshot invariant: the read fails as Internal and counts
+// `serve.read.index_stale` rather than quietly answering through the naive
+// evaluator.  A view without an index is the naive baseline and answers.
+TEST(ServeTest, MismatchedSnapshotIndexIsAnInternalError) {
+  auto oracle = MakeOracle();
+  auto before = BuildSnapshot(*oracle, 1);
+  ASSERT_TRUE(before.ok()) << before.status();
+  ASSERT_TRUE(
+      oracle->ApplyBatch({engine::BatchOp::Delete("//patient[psn=\"000\"]")})
+          .ok());
+  auto after = BuildSnapshot(*oracle, 2);
+  ASSERT_TRUE(after.ok()) << after.status();
+  const std::string subject = "doctor";
+  SubjectView view = (*after)->subjects.at(subject);
+  view.index = (*before)->subjects.at(subject).index;
+  ASSERT_NE(view.index, nullptr);
+  ASSERT_FALSE(view.index->Matches(*view.doc));
+  Snapshot torn;
+  torn.epoch = 2;
+  torn.subjects.emplace(subject, view);
+  auto query = xpath::ParsePath("//patient");
+  ASSERT_TRUE(query.ok());
+
+  obs::MetricsRegistry metrics;
+  obs::ScopedObsContext obs_ctx(&metrics, nullptr);
+  auto stale = QuerySnapshot(torn, subject, *query);
+  EXPECT_EQ(stale.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(metrics.Snapshot().counters.at("serve.read.index_stale"), 1u);
+
+  torn.subjects.at(subject).index = nullptr;
+  auto naive = QuerySnapshot(torn, subject, *query);
+  auto indexed = QuerySnapshot(**after, subject, *query);
+  ASSERT_TRUE(naive.ok()) << naive.status();
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  EXPECT_EQ(naive->selected, indexed->selected);
+  EXPECT_EQ(naive->granted, indexed->granted);
+  EXPECT_EQ(metrics.Snapshot().counters.at("serve.read.index_stale"), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Observability propagation (satellite: thread-local sinks on pool threads)
 
@@ -425,6 +465,9 @@ TEST(ServeHealthTest, HealthSnapshotMatchesSerialTally) {
   EXPECT_NE(text.find("serve.health.epoch_lag 0"), std::string::npos);
   EXPECT_NE(text.find("latency.query.native.count 32"), std::string::npos);
   EXPECT_NE(text.find("obs.ring.dropped 0"), std::string::npos);
+  EXPECT_NE(text.find("obs.worker_ring_pool.misses " +
+                      std::to_string(health.worker_ring_pool_misses)),
+            std::string::npos);
   EXPECT_NE(text.find("queue.read_queue.watermark"), std::string::npos);
 
   server->Stop();

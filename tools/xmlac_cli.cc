@@ -316,7 +316,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  AccessController ac(std::move(backend), optimize);
+  xmlac::engine::ControllerOptions options;
+  options.optimize_policies = optimize;
+  AccessController ac(std::move(backend), options);
   if (!trace_json_path.empty()) ac.EnableTracing(true);
   Status st = ac.Load(*dtd_text, *xml_text);
   if (!st.ok()) {

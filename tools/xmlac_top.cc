@@ -68,9 +68,10 @@ void Render(const HealthView& v, bool ansi) {
               v.Get("serve.health.epoch").c_str(),
               v.Get("serve.health.recorder_epoch").c_str(),
               v.Get("serve.health.epoch_lag").c_str());
-  std::printf("ring events  %8s   dropped %s\n",
+  std::printf("ring events  %8s   dropped %s   pool misses %s\n",
               v.Get("obs.ring.appended").c_str(),
-              v.Get("obs.ring.dropped").c_str());
+              v.Get("obs.ring.dropped").c_str(),
+              v.Get("obs.worker_ring_pool.misses").c_str());
   std::printf("requests     %8s   traces retained %s  evicted %s\n",
               v.Get("obs.recorder.requests_seen").c_str(),
               v.Get("obs.recorder.retained_traces").c_str(),
