@@ -18,6 +18,18 @@ namespace {
 // The SetSigns gather loop visits every row slot with a hash probe each; a
 // smaller floor than the executor's scan because the probe dominates.
 constexpr size_t kGatherShardMinRows = 4096;
+
+// The id column of a SELECT result in ascending id (document) order.  A
+// span of its own: on large answers converting the result rows and freeing
+// them (inside the span, hence the explicit reset) is a visible share of a
+// read next to the O(1)-per-node sign check.
+std::vector<UniversalId> SortedIds(reldb::ResultSet rs) {
+  obs::ScopedSpan span("reldb.result_ids");
+  std::vector<UniversalId> ids = rs.IdColumn();
+  rs = reldb::ResultSet();
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
 }  // namespace
 
 RelationalBackend::RelationalBackend(const RelationalOptions& options)
@@ -35,8 +47,15 @@ Status RelationalBackend::Load(const xml::Dtd& dtd,
   exec_->set_shard_config(shard_);
   mapping_ =
       std::make_unique<shred::ShredMapping>(dtd, options_.interval_columns);
+  tables_.clear();
+  directory_.clear();
   XMLAC_RETURN_IF_ERROR(
       mapping_->CreateTables(catalog_.get(), options_.create_indexes));
+  for (const std::string& table_name : catalog_->TableNames()) {
+    reldb::Table* t = catalog_->GetTable(table_name);
+    tables_.push_back({t, *t->schema().ColumnIndex(shred::kIdColumn),
+                       *t->schema().ColumnIndex(shred::kSignColumn)});
+  }
   next_id_ = static_cast<UniversalId>(doc.size());
   intervals_.clear();
   if (options_.interval_columns && !doc.empty()) {
@@ -60,13 +79,13 @@ Status RelationalBackend::Load(const xml::Dtd& dtd,
                            shred::ShredToSqlScript(doc, *mapping_,
                                                    default_sign_));
     XMLAC_RETURN_IF_ERROR(exec_->Run(script));
-    uniform_sign_ = default_sign_;
-    return Status::OK();
+  } else {
+    auto stats =
+        shred::ShredToCatalog(doc, *mapping_, catalog_.get(), default_sign_);
+    if (!stats.ok()) return stats.status();
   }
-  auto stats =
-      shred::ShredToCatalog(doc, *mapping_, catalog_.get(), default_sign_);
-  if (!stats.ok()) return stats.status();
   uniform_sign_ = default_sign_;
+  XMLAC_ASSIGN_OR_RETURN(directory_, ScanDirectory());
   return Status::OK();
 }
 
@@ -74,6 +93,8 @@ void RelationalBackend::Clear() {
   exec_.reset();
   catalog_.reset();
   mapping_.reset();
+  tables_.clear();
+  directory_ = std::vector<DirEntry>();
   uniform_sign_ = 0;
   intervals_.clear();
 }
@@ -89,9 +110,7 @@ Result<std::vector<UniversalId>> RelationalBackend::EvaluateQuery(
                          shred::TranslateXPath(query, *mapping_));
   if (tr.empty) return std::vector<UniversalId>{};
   XMLAC_ASSIGN_OR_RETURN(reldb::ResultSet rs, exec_->ExecuteSelect(tr.query));
-  std::vector<UniversalId> ids = rs.IdColumn();
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  return SortedIds(std::move(rs));
 }
 
 Result<CompoundSelect> RelationalBackend::CompileAnnotationSql(
@@ -152,9 +171,7 @@ Result<std::vector<UniversalId>> RelationalBackend::EvaluateAnnotationSet(
     return compiled.status();
   }
   XMLAC_ASSIGN_OR_RETURN(reldb::ResultSet rs, exec_->ExecuteSelect(*compiled));
-  std::vector<UniversalId> ids = rs.IdColumn();
-  std::sort(ids.begin(), ids.end());
-  return ids;
+  return SortedIds(std::move(rs));
 }
 
 Status RelationalBackend::SetSigns(const std::vector<UniversalId>& ids,
@@ -228,25 +245,104 @@ Status RelationalBackend::ResetAllSigns(char default_sign) {
   return Status::OK();
 }
 
-reldb::Table* RelationalBackend::FindTable(UniversalId id) {
-  for (const std::string& table_name : catalog_->TableNames()) {
-    reldb::Table* t = catalog_->GetTable(table_name);
-    size_t id_col = *t->schema().ColumnIndex(shred::kIdColumn);
-    if (!t->IndexLookup(id_col, Value::Int(id)).empty()) return t;
+Result<std::vector<RelationalBackend::DirEntry>>
+RelationalBackend::ScanDirectory() const {
+  std::vector<DirEntry> dir(IdBound());
+  for (uint32_t k = 0; k < tables_.size(); ++k) {
+    const TableRef& ref = tables_[k];
+    if (ref.table->Capacity() > UINT32_MAX) {
+      return Status::Unsupported("table " + ref.table->name() +
+                                 " has too many rows for the id directory");
+    }
+    for (reldb::RowIdx i = 0; i < ref.table->Capacity(); ++i) {
+      if (!ref.table->IsAlive(i)) continue;
+      Value held = ref.table->GetValue(i, ref.id_col);
+      auto where = [&] {
+        return ref.table->name() + " row " + std::to_string(i) + " holds id " +
+               held.ToString();
+      };
+      if (held.type() != reldb::ValueType::kInt64 || held.AsInt() < 0 ||
+          static_cast<size_t>(held.AsInt()) >= dir.size()) {
+        return Status::Internal(where() + " outside [0, " +
+                                std::to_string(dir.size()) + ")");
+      }
+      DirEntry& e = dir[static_cast<size_t>(held.AsInt())];
+      if (e.table != kNoTable) {
+        return Status::Internal(where() + ", already held by " +
+                                tables_[e.table].table->name() + " row " +
+                                std::to_string(e.row));
+      }
+      e = DirEntry{k, static_cast<uint32_t>(i)};
+    }
   }
-  return nullptr;
+  return dir;
+}
+
+Status RelationalBackend::VerifyDirectory() const {
+  if (catalog_ == nullptr) return Status::Internal("backend not loaded");
+  XMLAC_ASSIGN_OR_RETURN(std::vector<DirEntry> rebuilt, ScanDirectory());
+  if (rebuilt.size() != directory_.size()) {
+    return Status::Internal("id directory has " +
+                            std::to_string(directory_.size()) +
+                            " entries, a rebuild " +
+                            std::to_string(rebuilt.size()));
+  }
+  auto describe = [&](const DirEntry& e) {
+    return e.table == kNoTable ? std::string("no tuple")
+                               : tables_[e.table].table->name() + " row " +
+                                     std::to_string(e.row);
+  };
+  for (size_t id = 0; id < rebuilt.size(); ++id) {
+    const DirEntry& kept = directory_[id];
+    const DirEntry& want = rebuilt[id];
+    if (kept.table != want.table ||
+        (kept.table != kNoTable && kept.row != want.row)) {
+      return Status::Internal("id directory differs from a rebuild at tuple " +
+                              std::to_string(id) + ": maintained " +
+                              describe(kept) + ", rebuilt " + describe(want));
+    }
+  }
+  return Status::OK();
+}
+
+Status RelationalBackend::StaleDirectory(UniversalId id,
+                                         const std::string& detail) {
+  obs::IncrementCounter("reldb.directory_stale");
+  return Status::Internal("id directory is stale at tuple " +
+                          std::to_string(id) + ": " + detail);
+}
+
+Result<RelationalBackend::DirEntry> RelationalBackend::Locate(
+    UniversalId id) const {
+  if (id < 0 || static_cast<size_t>(id) >= directory_.size() ||
+      directory_[static_cast<size_t>(id)].table == kNoTable) {
+    return Status::NotFound("tuple " + std::to_string(id) + " not found");
+  }
+  const DirEntry& e = directory_[static_cast<size_t>(id)];
+  const TableRef& ref = tables_[e.table];
+  if (ref.table->IsAlive(e.row)) {
+    Value held = ref.table->GetValue(e.row, ref.id_col);
+    if (held.type() == reldb::ValueType::kInt64 && held.AsInt() == id) return e;
+  }
+  return StaleDirectory(id, ref.table->name() + " row " +
+                                std::to_string(e.row) +
+                                " is deleted or holds another id");
+}
+
+uint32_t RelationalBackend::TableSlot(std::string_view name) const {
+  auto it = std::lower_bound(
+      tables_.begin(), tables_.end(), name,
+      [](const TableRef& ref, std::string_view n) {
+        return ref.table->name() < n;
+      });
+  return static_cast<uint32_t>(it - tables_.begin());
 }
 
 Result<char> RelationalBackend::GetSign(UniversalId id) {
   if (catalog_ == nullptr) return Status::Internal("backend not loaded");
-  reldb::Table* t = FindTable(id);
-  if (t == nullptr) {
-    return Status::NotFound("tuple " + std::to_string(id) + " not found");
-  }
-  size_t id_col = *t->schema().ColumnIndex(shred::kIdColumn);
-  size_t s_col = *t->schema().ColumnIndex(shred::kSignColumn);
-  auto rows = t->IndexLookup(id_col, Value::Int(id));
-  return t->GetValue(rows[0], s_col).AsString()[0];
+  XMLAC_ASSIGN_OR_RETURN(DirEntry e, Locate(id));
+  const TableRef& ref = tables_[e.table];
+  return ref.table->GetValue(e.row, ref.sign_col).AsString()[0];
 }
 
 Result<size_t> RelationalBackend::DeleteWhere(const xpath::Path& u) {
@@ -258,44 +354,53 @@ Result<size_t> RelationalBackend::DeleteWhere(const xpath::Path& u) {
   }
   XMLAC_ASSIGN_OR_RETURN(std::vector<UniversalId> roots, EvaluateQuery(u));
   // BFS over pid links to take the subtrees with the selected nodes.
-  std::vector<std::string> tables = catalog_->TableNames();
   std::unordered_set<UniversalId> doomed(roots.begin(), roots.end());
   std::vector<UniversalId> frontier = roots;
   while (!frontier.empty()) {
     std::vector<UniversalId> next;
-    for (const std::string& table_name : tables) {
-      reldb::Table* t = catalog_->GetTable(table_name);
+    for (const TableRef& ref : tables_) {
+      const reldb::Table* t = ref.table;
       size_t pid_col = *t->schema().ColumnIndex(shred::kPidColumn);
-      size_t id_col = *t->schema().ColumnIndex(shred::kIdColumn);
       for (UniversalId parent : frontier) {
         for (reldb::RowIdx i :
              t->IndexLookup(pid_col, Value::Int(parent))) {
-          UniversalId child = t->GetValue(i, id_col).AsInt();
+          UniversalId child = t->GetValue(i, ref.id_col).AsInt();
           if (doomed.insert(child).second) next.push_back(child);
         }
       }
     }
     frontier = std::move(next);
   }
-  // Point deletes through the executor (indexed on id).
-  size_t deleted = 0;
-  for (const std::string& table_name : tables) {
-    reldb::Table* t = catalog_->GetTable(table_name);
-    size_t id_col = *t->schema().ColumnIndex(shred::kIdColumn);
-    for (UniversalId id : doomed) {
-      if (t->IndexLookup(id_col, Value::Int(id)).empty()) continue;
-      XMLAC_ASSIGN_OR_RETURN(
-          size_t n, exec_->ExecuteDelete([&] {
-            reldb::DeleteStatement st;
-            st.table = table_name;
-            st.where = reldb::Expr::Compare(
-                reldb::CompareOp::kEq,
-                reldb::Expr::Column("", shred::kIdColumn),
-                reldb::Expr::Literal(Value::Int(id)));
-            return st;
-          }()));
-      deleted += n;
+  // Resolve every doomed tuple through the directory before deleting any,
+  // so a stale directory fails the delete as a whole.  Each was just found
+  // live by the query or the pid index, so one without an entry is stale.
+  std::vector<UniversalId> victims(doomed.begin(), doomed.end());
+  std::sort(victims.begin(), victims.end());
+  std::vector<DirEntry> entries;
+  entries.reserve(victims.size());
+  for (UniversalId id : victims) {
+    auto e = Locate(id);
+    if (e.status().code() == StatusCode::kNotFound) {
+      return StaleDirectory(id, "a live tuple has no directory entry");
     }
+    if (!e.ok()) return e.status();
+    entries.push_back(*e);
+  }
+  // One point delete per tuple through the executor, on its own table
+  // (indexed on id).
+  size_t deleted = 0;
+  for (size_t k = 0; k < victims.size(); ++k) {
+    XMLAC_ASSIGN_OR_RETURN(
+        size_t n, exec_->ExecuteDelete([&] {
+          reldb::DeleteStatement st;
+          st.table = tables_[entries[k].table].table->name();
+          st.where = reldb::Expr::Compare(
+              reldb::CompareOp::kEq, reldb::Expr::Column("", shred::kIdColumn),
+              reldb::Expr::Literal(Value::Int(victims[k])));
+          return st;
+        }()));
+    directory_[static_cast<size_t>(victims[k])] = DirEntry{};
+    deleted += n;
   }
   return deleted;
 }
@@ -384,9 +489,11 @@ Result<size_t> RelationalBackend::InsertUnder(const xpath::Path& target,
     }
   }
   std::string sign(1, default_sign_);
+  directory_.resize(static_cast<size_t>(planned_next));
   for (const PlannedRow& pr : plan) {
     const xml::Node& n = fragment.node(pr.src);
-    reldb::Table* table = catalog_->GetTable(n.label);
+    uint32_t slot = TableSlot(n.label);
+    reldb::Table* table = tables_[slot].table;
     reldb::Row row;
     row.reserve(table->schema().num_columns());
     row.push_back(Value::Int(pr.id));
@@ -399,8 +506,13 @@ Result<size_t> RelationalBackend::InsertUnder(const xpath::Path& target,
       row.push_back(Value::Int(static_cast<int64_t>(pr.en)));
     }
     row.push_back(Value::Str(sign));
-    auto r = table->Insert(std::move(row));
-    if (!r.ok()) return r.status();
+    XMLAC_ASSIGN_OR_RETURN(reldb::RowIdx at, table->Insert(std::move(row)));
+    if (at > UINT32_MAX) {
+      return Status::Unsupported("table " + n.label +
+                                 " has too many rows for the id directory");
+    }
+    directory_[static_cast<size_t>(pr.id)] =
+        DirEntry{slot, static_cast<uint32_t>(at)};
   }
   next_id_ = planned_next;
   for (auto& [id, iv] : scratch) intervals_[id] = iv;

@@ -9,11 +9,18 @@
 // catalog tables, intersect each table's ids with the target set and issue
 // one point UPDATE per tuple — the deliberate tuple-at-a-time cost the
 // paper measures.
+//
+// Reading a tuple's sign is one lookup: the backend keeps an id directory,
+// universal id → (table, row), built in one scan at Load and maintained by
+// InsertUnder/DeleteWhere.  A directory entry that no longer names a live
+// row holding that id is an internal error (counted as
+// reldb.directory_stale), never a reason to fall back to a scan.
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <vector>
 
 #include "engine/backend.h"
 #include "reldb/executor.h"
@@ -28,9 +35,9 @@ struct RelationalOptions {
   // (the paper's loading path) instead of inserting rows directly.
   bool load_via_sql = true;
   // Hash indexes on id/pid.  Disabling forces full scans in the annotation
-  // loop's point updates and in DeleteWhere (ablation A3).  Note GetSign and
-  // InsertUnder require the id index, so those APIs are unavailable without
-  // indexes.
+  // loop's point updates (ablation A3).  GetSign reads through the id
+  // directory and works either way; DeleteWhere (whose subtree walk needs
+  // the pid index) and InsertUnder return kUnsupported without indexes.
   bool create_indexes = true;
   // Shred (st, en) interval-label columns into every table and compile
   // descendant steps to range predicates instead of schema join chains.
@@ -85,13 +92,41 @@ class RelationalBackend final : public Backend {
       const policy::Policy& policy, const std::vector<size_t>& rule_subset,
       policy::CombineOp combine) const;
 
+  // Compares the maintained id directory with one rebuilt from a scan of
+  // every table's live rows; Internal naming the first differing id.  For
+  // tests and the differential harness.
+  Status VerifyDirectory() const;
+
   reldb::Catalog* catalog() { return catalog_.get(); }
   reldb::Executor* executor() { return exec_.get(); }
   const shred::ShredMapping* mapping() const { return mapping_.get(); }
 
  private:
-  // Table holding tuple `id`, or nullptr.
-  reldb::Table* FindTable(UniversalId id);
+  // A shredded table with the column positions the directory reads.
+  struct TableRef {
+    reldb::Table* table = nullptr;
+    size_t id_col = 0;
+    size_t sign_col = 0;
+  };
+  // Where tuple `id` lives: row `row` of tables_[table].  table == kNoTable
+  // for ids that have no tuple (text nodes, deleted tuples).
+  static constexpr uint32_t kNoTable = UINT32_MAX;
+  struct DirEntry {
+    uint32_t table = kNoTable;
+    uint32_t row = 0;
+  };
+
+  // The directory a scan of every table's live rows gives; Internal on an
+  // id outside [0, IdBound()) or held by two rows.
+  Result<std::vector<DirEntry>> ScanDirectory() const;
+  // The live directory entry of tuple `id`: NotFound when it has none,
+  // Internal (and reldb.directory_stale) when the entry's row is dead or
+  // holds another id.
+  Result<DirEntry> Locate(UniversalId id) const;
+  // Counts reldb.directory_stale and returns the Internal error for it.
+  static Status StaleDirectory(UniversalId id, const std::string& detail);
+  // Position of table `name` in tables_; `name` must be a mapped table.
+  uint32_t TableSlot(std::string_view name) const;
 
   // Interval bookkeeping for interval_columns mode: each element tuple's
   // (start, end) label plus the anchor (highest label value already used
@@ -107,6 +142,12 @@ class RelationalBackend final : public Backend {
   std::unique_ptr<reldb::Catalog> catalog_;
   std::unique_ptr<reldb::Executor> exec_;
   std::unique_ptr<shred::ShredMapping> mapping_;
+  // The catalog's tables in name order, captured at Load; DirEntry::table
+  // indexes into it.
+  std::vector<TableRef> tables_;
+  // Indexed by universal id, IdBound() entries.  Ids are never reused, so
+  // an entry only ever goes from empty to set (insert) and back (delete).
+  std::vector<DirEntry> directory_;
   char default_sign_ = '-';
   // When non-zero, every live tuple's sign column is known to hold this
   // value, so ResetAllSigns to the same sign skips the per-table UPDATEs —

@@ -116,6 +116,17 @@ std::string IdList(const std::vector<UniversalId>& ids) {
   return out;
 }
 
+// Maintained-vs-rebuilt id directory of a relational backend: after every
+// annotation or update step, the directory the backend maintains must equal
+// one rebuilt from a catalog scan.  "" for the native backend (no
+// directory).
+std::string CheckDirectory(engine::Backend* backend, const std::string& where) {
+  auto* relational = dynamic_cast<engine::RelationalBackend*>(backend);
+  if (relational == nullptr) return "";
+  Status st = relational->VerifyDirectory();
+  return st.ok() ? "" : "directory[" + where + "]: " + st.ToString();
+}
+
 std::vector<UniversalId> Widen(const std::vector<NodeId>& ids) {
   std::vector<UniversalId> out;
   out.reserve(ids.size());
@@ -261,6 +272,8 @@ std::string CheckAnnotation(const Instance& instance,
       shard.enabled = options.shard_parallel;
       backend->SetShardConfig(shard);
       if (!backend->Load(instance.dtd, instance.doc).ok()) return "";
+      std::string dir = CheckDirectory(backend.get(), BackendName(kind));
+      if (!dir.empty()) return dir;
       for (policy::CombineOp combine :
            {policy::CombineOp::kGrants, policy::CombineOp::kGrantsExceptDenies,
             policy::CombineOp::kDenies,
@@ -286,11 +299,19 @@ std::string CheckAnnotation(const Instance& instance,
       AccessController ac(MakeBackend(kind, options.structural_accel),
                           EngineOptions(optimize, options));
       if (!Setup(ac, instance, engine_policy)) continue;
+      std::string dir =
+          CheckDirectory(ac.backend(), Describe(kind, optimize, options));
+      if (!dir.empty()) return dir;
 
-      // Table 2 signs, node by node.
+      // Table 2 signs, node by node.  Every live element of the document
+      // has a sign on every backend, so a failed lookup is a mismatch.
       for (NodeId id : instance.doc.AllElements()) {
         auto sign = ac.backend()->GetSign(static_cast<UniversalId>(id));
-        if (!sign.ok()) continue;
+        if (!sign.ok()) {
+          return "annotation[" + Describe(kind, optimize, options) +
+                 "]: no sign at " + instance.doc.PathOf(id) + " (node " +
+                 std::to_string(id) + "): " + sign.status().ToString();
+        }
         char want = oracle_signs.at(id);
         if (*sign != want) {
           return "annotation[" + Describe(kind, optimize, options) +
@@ -339,10 +360,20 @@ std::string CheckAnnotation(const Instance& instance,
       AccessController warm(MakeBackend(kind, options.structural_accel), copt);
       if (Setup(cold, instance, engine_policy) &&
           Setup(warm, instance, engine_policy)) {
+        const std::string where =
+            std::string(BackendName(kind)) + "/shared-cache";
+        std::string dir = CheckDirectory(cold.backend(), where + "/cold");
+        if (dir.empty()) dir = CheckDirectory(warm.backend(), where + "/warm");
+        if (!dir.empty()) return dir;
         for (NodeId id : instance.doc.AllElements()) {
           auto sc = cold.backend()->GetSign(static_cast<UniversalId>(id));
           auto sw = warm.backend()->GetSign(static_cast<UniversalId>(id));
-          if (!sc.ok() || !sw.ok()) continue;
+          if (!sc.ok() || !sw.ok()) {
+            return "annotation[" + where + "]: no sign at " +
+                   instance.doc.PathOf(id) + " (node " + std::to_string(id) +
+                   "): cold " + sc.status().ToString() + ", warm " +
+                   sw.status().ToString();
+          }
           char want = oracle_signs.at(id);
           if (*sc != want || *sw != want) {
             return std::string("annotation[") + BackendName(kind) +
@@ -427,9 +458,19 @@ std::string CheckReannotation(const Instance& instance,
         skip = true;
         break;
       }
+      std::string dir = CheckDirectory(
+          partial.backend(), std::string(BackendName(kind)) + "/partial");
+      if (dir.empty()) {
+        dir = CheckDirectory(full.backend(),
+                             std::string(BackendName(kind)) + "/full");
+      }
+      if (!dir.empty()) return dir;
     }
     if (skip) continue;
     if (!batch.ApplyBatch(instance.updates).ok()) continue;
+    std::string dir = CheckDirectory(
+        batch.backend(), std::string(BackendName(kind)) + "/batch");
+    if (!dir.empty()) return dir;
 
     // Same backend kind assigns fresh ids identically, so the three
     // controllers are comparable id by id.
@@ -463,8 +504,14 @@ std::string CheckReannotation(const Instance& instance,
     }
     size_t engine_accessible = 0;
     for (UniversalId id : *ids) {
+      // Every id came from the backend's own //* query: it must have a sign.
       auto sign = partial.backend()->GetSign(id);
-      if (sign.ok() && *sign == '+') ++engine_accessible;
+      if (!sign.ok()) {
+        return std::string("reannotation[") + BackendName(kind) + "]: node " +
+               std::to_string(id) + " selected by //* has no sign: " +
+               sign.status().ToString();
+      }
+      if (*sign == '+') ++engine_accessible;
     }
     if (engine_accessible != oracle_accessible) {
       return std::string("reannotation[") + BackendName(kind) + "]: " +
@@ -502,7 +549,11 @@ std::string CheckOptimizer(const Instance& instance) {
   for (NodeId id : instance.doc.AllElements()) {
     auto so = optimized.backend()->GetSign(static_cast<UniversalId>(id));
     auto sr = raw.backend()->GetSign(static_cast<UniversalId>(id));
-    if (!so.ok() || !sr.ok()) continue;
+    if (!so.ok() || !sr.ok()) {
+      return "optimizer: no sign at " + instance.doc.PathOf(id) + " (node " +
+             std::to_string(id) + "): optimized " + so.status().ToString() +
+             ", unoptimized " + sr.status().ToString();
+    }
     if (*so != *sr) {
       return "optimizer: rule elimination changed the sign at " +
              instance.doc.PathOf(id) + " (node " + std::to_string(id) +
