@@ -94,12 +94,16 @@ int main() {
 
   // Security views: what each role's slice of the document looks like.
   for (const char* s : {"doctor", "billing"}) {
-    auto* native = static_cast<engine::NativeXmlBackend*>(
-        msc.subject(s)->backend());
+    engine::Backend* signs = msc.subject(s)->backend();
+    xml::Document view =
+        engine::AccessibleView(msc.document(), [signs](xml::NodeId n) {
+          auto sign = signs->GetSign(static_cast<engine::UniversalId>(n));
+          return sign.ok() && *sign == '+';
+        });
     xml::SerializeOptions pretty;
     pretty.indent = true;
     std::printf("---- %s's view ----\n%s\n\n", s,
-                xml::Serialize(native->AccessibleView(), pretty).c_str());
+                xml::Serialize(view, pretty).c_str());
   }
 
   // A broadcast update: discharge patient 000.

@@ -2,7 +2,6 @@
 
 #include <unordered_map>
 
-#include "engine/native_backend.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
 
@@ -54,18 +53,15 @@ Status AccessController::LoadParsed(const xml::Dtd& dtd,
   dtd_ = std::make_unique<xml::Dtd>(dtd);
   schema_ = std::make_unique<xml::SchemaGraph>(*dtd_);
   XMLAC_RETURN_IF_ERROR(backend_->Load(*dtd_, doc));
-  // The replica changed wholesale: previous diff state is meaningless, and
+  // The store changed wholesale: previous diff state is meaningless, and
   // a privately owned cache holds bitmaps of the old document.  (A shared
-  // cache is left alone — the fleet owner reloads every replica from the
-  // same document.)
-  sign_state_.valid = false;
+  // cache is left alone — its fleet owner clears it when it reloads.)
+  sign_state_ = SignState();
   if (rule_cache_ == &owned_rule_cache_) owned_rule_cache_.Clear();
   // A policy set before loading re-annotates the fresh document.
   if (policy_set_) {
-    AnnotationContext ctx;
-    if (rule_cache_ != nullptr) ctx = MakeAnnotationContext(rule_cache_->epoch());
-    auto r = AnnotateFull(backend_.get(), policy_,
-                          rule_cache_ != nullptr ? &ctx : nullptr);
+    AnnotationContext ctx = MakeAnnotationContext(CacheEpoch());
+    auto r = AnnotateFull(backend_.get(), policy_, &ctx);
     if (!r.ok()) return r.status();
   }
   return Status::OK();
@@ -118,10 +114,8 @@ Status AccessController::InstallPolicy(policy::Policy policy, bool annotate) {
   }
   policy_set_ = true;
   if (annotate && schema_ != nullptr) {
-    AnnotationContext ctx;
-    if (rule_cache_ != nullptr) ctx = MakeAnnotationContext(rule_cache_->epoch());
-    auto r = AnnotateFull(backend_.get(), policy_,
-                          rule_cache_ != nullptr ? &ctx : nullptr);
+    AnnotationContext ctx = MakeAnnotationContext(CacheEpoch());
+    auto r = AnnotateFull(backend_.get(), policy_, &ctx);
     if (!r.ok()) return r.status();
   }
   return Status::OK();
@@ -161,19 +155,17 @@ void AccessController::MaintainRuleCache(const std::vector<size_t>& triggered,
 }
 
 Result<std::vector<UniversalId>> AccessController::PrepareReannotation(
-    const std::vector<size_t>& triggered, AnnotationContext* reannotate_ctx,
-    bool* use_ctx) {
+    const std::vector<size_t>& triggered, AnnotationContext* reannotate_ctx) {
   if (rule_cache_ == nullptr) {
-    *use_ctx = false;
+    *reannotate_ctx = MakeAnnotationContext(0);
     // Pre-update scope snapshot: stale marks in these nodes must be reset.
     return TriggeredScope(backend_.get(), policy_, triggered);
   }
-  *use_ctx = true;
   if (owns_epoch_) rule_cache_->AdvanceEpoch();
   uint64_t post_epoch = rule_cache_->epoch();
   uint64_t pre_epoch = post_epoch == 0 ? 0 : post_epoch - 1;
   // The pre-update snapshot is served from (and installed into) the cache
-  // at the pre-update epoch — this replica has not mutated yet, so a miss
+  // at the pre-update epoch — the store has not mutated yet, so a miss
   // recomputes exactly the pre-update scope.
   AnnotationContext old_ctx = MakeAnnotationContext(pre_epoch);
   XMLAC_ASSIGN_OR_RETURN(
@@ -282,14 +274,26 @@ Result<BatchStats> AccessController::RunUpdate(
   if (!policy_set_ || trigger_ == nullptr) {
     return Status::Internal("no policy set");
   }
-  BatchStats stats;
-  if (ops.empty()) return stats;
+  if (ops.empty()) return BatchStats();
   obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
   obs::ScopedSpan span(&tracer_, span_name);
   obs::ScopedTimer timer(timer_name);
   obs::IncrementCounter(counter);
+  XMLAC_ASSIGN_OR_RETURN(PendingUpdate pending, PrepareUpdate(ops));
+  BatchStats mutation;
+  XMLAC_RETURN_IF_ERROR(ApplyOps(backend_.get(), ops, &mutation));
+  return FinishUpdate(std::move(pending), mutation);
+}
+
+Result<PendingUpdate> AccessController::PrepareUpdate(
+    const std::vector<ParsedOp>& ops) {
+  if (!policy_set_ || trigger_ == nullptr) {
+    return Status::Internal("no policy set");
+  }
+  obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
   obs::IncrementCounter("engine.batch_ops", ops.size());
-  stats.ops = ops.size();
+  PendingUpdate pending;
+  pending.stats.ops = ops.size();
 
   // Union of trigger sets over every update path the ops touch: a delete's
   // selector, and for an insert the path of every element the fragment
@@ -307,53 +311,31 @@ Result<BatchStats> AccessController::RunUpdate(
   for (const xpath::Path& u : touched) {
     for (size_t i : trigger_->Trigger(u)) fired[i] = true;
   }
-  std::vector<size_t> triggered;
   for (size_t i = 0; i < fired.size(); ++i) {
-    if (fired[i]) triggered.push_back(i);
+    if (fired[i]) pending.triggered.push_back(i);
   }
-  stats.rules_triggered = triggered.size();
+  pending.stats.rules_triggered = pending.triggered.size();
 
-  // One pre-update scope snapshot, then every mutation in order, then one
-  // partial re-annotation.
-  AnnotationContext ctx;
-  bool use_ctx = false;
-  XMLAC_ASSIGN_OR_RETURN(std::vector<UniversalId> old_scope,
-                         PrepareReannotation(triggered, &ctx, &use_ctx));
-  XMLAC_RETURN_IF_ERROR(ApplyOps(backend_.get(), ops, &stats));
+  // One pre-update scope snapshot; the caller then applies every mutation
+  // in order, and FinishUpdate runs one partial re-annotation.
+  XMLAC_ASSIGN_OR_RETURN(pending.old_scope,
+                         PrepareReannotation(pending.triggered, &pending.ctx));
+  return pending;
+}
+
+Result<BatchStats> AccessController::FinishUpdate(PendingUpdate pending,
+                                                  const BatchStats& mutation) {
+  obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
+  BatchStats stats = std::move(pending.stats);
+  stats.nodes_deleted = mutation.nodes_deleted;
+  stats.nodes_inserted = mutation.nodes_inserted;
   obs::IncrementCounter("engine.nodes_deleted", stats.nodes_deleted);
   obs::IncrementCounter("engine.nodes_inserted", stats.nodes_inserted);
   XMLAC_ASSIGN_OR_RETURN(
       stats.reannotation,
-      Reannotate(backend_.get(), policy_, triggered, old_scope,
-                 use_ctx ? &ctx : nullptr));
+      Reannotate(backend_.get(), policy_, pending.triggered, pending.old_scope,
+                 &pending.ctx));
   return stats;
-}
-
-char AccessController::CurrentDefaultSign() const {
-  if (sign_state_.valid) return sign_state_.default_sign;
-  if (const auto* native =
-          dynamic_cast<const NativeXmlBackend*>(backend_.get())) {
-    return native->default_sign();
-  }
-  return '-';
-}
-
-NodeBitmap AccessController::ExportMarkedBitmap() const {
-  if (sign_state_.valid) return sign_state_.marked;
-  NodeBitmap out;
-  // Uncached controllers keep no bitmap; the native store's materialized
-  // form (alive elements carrying an explicit sign attribute) is exactly
-  // the marked set.
-  if (const auto* native =
-          dynamic_cast<const NativeXmlBackend*>(backend_.get())) {
-    const xml::Document& doc = native->document();
-    for (xml::NodeId id = 0; id < doc.size(); ++id) {
-      if (doc.IsAlive(id) && doc.GetAttribute(id, "sign").has_value()) {
-        out.Set(static_cast<UniversalId>(id));
-      }
-    }
-  }
-  return out;
 }
 
 Status AccessController::RestoreSigns(char default_sign,
@@ -364,37 +346,28 @@ Status AccessController::RestoreSigns(char default_sign,
   XMLAC_RETURN_IF_ERROR(backend_->SetSigns(marked, flipped));
   sign_state_.default_sign = default_sign;
   sign_state_.marked = NodeBitmap::FromIds(marked);
-  // Only the cached annotation path maintains the bitmap across updates;
-  // an uncached controller must not keep claiming validity.
-  sign_state_.valid = rule_cache_ != nullptr;
+  sign_state_.valid = true;
   return Status::OK();
 }
 
-Result<BatchStats> AccessController::ReplayBatchDecisions(
-    const std::vector<ParsedOp>& ops, const std::vector<UniversalId>& marked,
+Result<AnnotateStats> AccessController::ReplaySignDelta(
+    const std::vector<UniversalId>& marked,
     const std::vector<UniversalId>& cleared) {
   obs::ScopedObsContext obs_ctx(&metrics_, &tracer_);
   obs::ScopedSpan span(&tracer_, "replay_batch");
   obs::ScopedTimer timer("engine.replay_us");
   obs::IncrementCounter("engine.replays");
-  BatchStats stats;
-  stats.ops = ops.size();
-  // Re-apply the mutations.  The restored arena is byte-identical to the
-  // pre-batch original (tombstones included), so the same XPath ops select
-  // the same nodes and allocate the same NodeIds the original run did.
-  XMLAC_RETURN_IF_ERROR(ApplyOps(backend_.get(), ops, &stats));
-  // Then the recorded sign decisions.  SetSigns skips dead ids, so deltas
-  // recorded before a later delete stay harmless.
+  // Deltas recorded before a later delete may name dead ids; like every
+  // sign bitmap, they tolerate lingering bits.
   char def = CurrentDefaultSign();
   char flipped = def == '-' ? '+' : '-';
   XMLAC_RETURN_IF_ERROR(backend_->SetSigns(marked, flipped));
   XMLAC_RETURN_IF_ERROR(backend_->SetSigns(cleared, def));
-  stats.reannotation.marked = marked.size();
-  stats.reannotation.reset = cleared.size();
-  if (sign_state_.valid) {
-    for (UniversalId id : marked) sign_state_.marked.Set(id);
-    for (UniversalId id : cleared) sign_state_.marked.Unset(id);
-  }
+  for (UniversalId id : marked) sign_state_.marked.Set(id);
+  for (UniversalId id : cleared) sign_state_.marked.Unset(id);
+  AnnotateStats stats;
+  stats.marked = marked.size();
+  stats.reset = cleared.size();
   return stats;
 }
 
@@ -407,10 +380,8 @@ Result<AnnotateStats> AccessController::ReannotateFull() {
   // epoch discards every cached scope, keeping this a true full
   // re-derivation.  A fleet-shared cache is left to its owner.
   if (rule_cache_ != nullptr && owns_epoch_) rule_cache_->AdvanceEpoch();
-  AnnotationContext ctx;
-  if (rule_cache_ != nullptr) ctx = MakeAnnotationContext(rule_cache_->epoch());
-  return AnnotateFull(backend_.get(), policy_,
-                      rule_cache_ != nullptr ? &ctx : nullptr);
+  AnnotationContext ctx = MakeAnnotationContext(CacheEpoch());
+  return AnnotateFull(backend_.get(), policy_, &ctx);
 }
 
 }  // namespace xmlac::engine

@@ -52,14 +52,14 @@ struct ExecOptions {
 struct ControllerOptions : ExecOptions {
   // With the rule cache enabled and no shared cache the controller owns a
   // private one.  A shared cache must outlive the controller, and every
-  // controller sharing it must replicate the SAME document and receive
+  // controller sharing it must see the SAME document and take part in
   // every update (the MultiSubjectController guarantees both for its fleet;
   // do not route updates around it).
   RuleScopeCache* shared_rule_cache = nullptr;
 
-  // Shared containment cache: several controllers — e.g. the per-subject
-  // replicas of a MultiSubjectController — memoize containment into one
-  // thread-safe table.  The caller keeps ownership and must keep it alive
+  // Shared containment cache: several controllers — e.g. the subjects of a
+  // MultiSubjectController — memoize containment into one thread-safe
+  // table.  The caller keeps ownership and must keep it alive
   // for the controller's lifetime.
   xpath::ContainmentCache* shared_containment_cache = nullptr;
 
@@ -125,6 +125,16 @@ struct BatchStats {
 Status ApplyOps(Backend* backend, const std::vector<ParsedOp>& ops,
                 BatchStats* stats);
 
+// An update between its two halves (AccessController::PrepareUpdate and
+// FinishUpdate): the triggered rules and their pre-update scope.
+struct PendingUpdate {
+  BatchStats stats;
+  std::vector<size_t> triggered;
+  std::vector<UniversalId> old_scope;
+  // Post-update context; with the rule cache on, stamped at the new epoch.
+  AnnotationContext ctx;
+};
+
 class AccessController {
  public:
   explicit AccessController(std::unique_ptr<Backend> backend,
@@ -167,9 +177,20 @@ class AccessController {
   // this way.  A malformed op fails the batch before any mutation.  An
   // empty batch is a no-op.
   Result<BatchStats> ApplyBatch(const std::vector<BatchOp>& ops);
-  // The same over ops the caller already parsed (the fleet parses each
-  // batch once for its master and every replica).
+  // The same over ops the caller already parsed.
   Result<BatchStats> ApplyBatch(const std::vector<ParsedOp>& ops);
+
+  // The update procedure split around its mutation, for callers that
+  // mutate a store several controllers share (MultiSubjectController):
+  // PrepareUpdate runs Trigger over the ops' update paths and snapshots the
+  // triggered pre-update scope; the caller then applies the ops to the
+  // store (ApplyOps) and passes their node counts to FinishUpdate, which
+  // re-annotates the triggered scopes.  Update / Insert / ApplyBatch are
+  // exactly PrepareUpdate, ApplyOps on this controller's backend,
+  // FinishUpdate.
+  Result<PendingUpdate> PrepareUpdate(const std::vector<ParsedOp>& ops);
+  Result<BatchStats> FinishUpdate(PendingUpdate pending,
+                                  const BatchStats& mutation);
 
   // Re-annotates everything from scratch (the baseline Fig. 12 compares
   // against).
@@ -178,7 +199,7 @@ class AccessController {
   // --- Durability hooks (src/storage/; see docs/durability.md) ------------
   // SetPolicyParsed minus the full annotation: installs the (optimized)
   // policy and trigger index so post-recovery updates behave identically,
-  // leaving the signs to RestoreSigns / ReplayBatchDecisions.  This is the
+  // leaving the signs to RestoreSigns / ReplaySignDelta.  This is the
   // asymmetry recovery exploits: annotation *decisions* were logged, so the
   // expensive policy evaluation never re-runs.
   Status SetPolicyForRecovery(policy::Policy policy);
@@ -188,25 +209,22 @@ class AccessController {
   Status RestoreSigns(char default_sign,
                       const std::vector<UniversalId>& marked);
 
-  // Replays one committed batch from its WAL record: re-applies the
-  // mutations, then the *recorded* sign deltas — no Trigger, no rule
-  // evaluation, no re-annotation.  `marked` flips ids to the non-default
-  // sign, `cleared` flips them back to the default.
-  Result<BatchStats> ReplayBatchDecisions(
-      const std::vector<ParsedOp>& ops,
-      const std::vector<UniversalId>& marked,
-      const std::vector<UniversalId>& cleared);
+  // Replays the *recorded* sign decisions of one committed batch (its WAL
+  // record) after the caller re-applied the batch's mutations — no Trigger,
+  // no rule evaluation, no re-annotation.  `marked` flips ids to the
+  // non-default sign, `cleared` flips them back to the default.
+  Result<AnnotateStats> ReplaySignDelta(const std::vector<UniversalId>& marked,
+                                        const std::vector<UniversalId>& cleared);
 
-  // The replica's current non-default-sign set (the WAL/checkpoint sign
-  // bitmap).  Served from the bitmap sign state when valid, otherwise by
-  // scanning the native store; bits of deleted nodes may linger (harmless,
-  // see node_bitmap.h).
-  NodeBitmap ExportMarkedBitmap() const;
+  // The current non-default-sign set (the WAL/checkpoint sign bitmap),
+  // maintained by every annotation path; bits of deleted nodes may linger
+  // (harmless, see node_bitmap.h).  Empty before the first annotation.
+  const NodeBitmap& ExportMarkedBitmap() const { return sign_state_.marked; }
   std::vector<UniversalId> ExportMarkedSigns() const {
     return ExportMarkedBitmap().ToIds();
   }
 
-  char CurrentDefaultSign() const;
+  char CurrentDefaultSign() const { return sign_state_.default_sign; }
 
   Backend* backend() { return backend_.get(); }
   const policy::Policy& active_policy() const { return policy_; }
@@ -234,9 +252,13 @@ class AccessController {
   const RuleScopeCache* rule_cache() const { return rule_cache_; }
 
  private:
-  // Builds the annotation context for the cached path at `epoch` (null-cache
-  // controllers never call this).
+  // Builds the annotation context at `epoch`: the rule cache (null when
+  // disabled, which selects the uncached path) and this controller's sign
+  // state, which both paths maintain.
   AnnotationContext MakeAnnotationContext(uint64_t epoch);
+  uint64_t CacheEpoch() const {
+    return rule_cache_ != nullptr ? rule_cache_->epoch() : 0;
+  }
 
   // Shared body of SetPolicyParsed / SetPolicyForRecovery.
   Status InstallPolicy(policy::Policy policy, bool annotate);
@@ -253,10 +275,9 @@ class AccessController {
   // pre-update triggered scope at the previous epoch, then evicts the
   // triggered entries and promotes the rest.  On the uncached path this is
   // just the TriggeredScope snapshot.  `reannotate_ctx` is filled with the
-  // post-update context (epoch stamped) iff the cache is enabled.
+  // post-update context (epoch stamped when the cache is enabled).
   Result<std::vector<UniversalId>> PrepareReannotation(
-      const std::vector<size_t>& triggered, AnnotationContext* reannotate_ctx,
-      bool* use_ctx);
+      const std::vector<size_t>& triggered, AnnotationContext* reannotate_ctx);
 
   void MaintainRuleCache(const std::vector<size_t>& triggered,
                          uint64_t post_epoch);
@@ -279,7 +300,7 @@ class AccessController {
   RuleScopeCache* rule_cache_;
   // Whether this controller advances the cache epoch on its own updates
   // (true for an owned cache; a fleet-shared cache's epoch is advanced once
-  // per broadcast by the MultiSubjectController).
+  // per fleet update by the MultiSubjectController).
   bool owns_epoch_;
   SignState sign_state_;
   std::unique_ptr<policy::TriggerIndex> trigger_;

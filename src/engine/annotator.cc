@@ -485,10 +485,16 @@ Result<AnnotateStats> Reannotate(Backend* backend,
     XMLAC_RETURN_IF_ERROR(backend->SetSigns(marked, MarkSign(plan)));
   }
   stats.marked = marked.size();
-  // The uncached partial path invalidates any diff state: it cannot cheaply
-  // reconstruct the full post-update marked set.
+  // Keep the sign state exact: the affected ids were reset to the default,
+  // then the re-annotation set was marked.
   if (ctx != nullptr && ctx->sign_state != nullptr) {
-    ctx->sign_state->valid = false;
+    SignState* state = ctx->sign_state;
+    if (state->valid && state->default_sign == DefaultSign(policy)) {
+      for (UniversalId id : to_reset) state->marked.Unset(id);
+      for (UniversalId id : marked) state->marked.Set(id);
+    } else {
+      state->valid = false;
+    }
   }
   obs::IncrementCounter("annotator.nodes_marked", stats.marked);
   obs::IncrementCounter("annotator.nodes_reset", stats.reset);

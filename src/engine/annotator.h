@@ -5,16 +5,17 @@
 //
 // Two execution paths, selected by the optional AnnotationContext:
 //
-//  - Legacy (no context / no cache): one compound Fig. 5 annotation query
-//    through Backend::EvaluateAnnotationSet, signs written wholesale.
-//    This is the paper-faithful baseline and the differential-testing
-//    reference for the cached path.
+//  - Legacy (no cache): one compound Fig. 5 annotation query through
+//    Backend::EvaluateAnnotationSet, signs written wholesale.  This is the
+//    paper-faithful baseline and the differential-testing reference for
+//    the cached path.  It still keeps a supplied SignState exact, so the
+//    marked bitmap is the sign of record on both paths.
 //
 //  - Cached bitmap path: each rule's scope is fetched from (or installed
 //    into) the shared RuleScopeCache as a NodeBitmap; the Table 2 / Fig. 5
 //    UNION/EXCEPT combination runs as word-wise OR / AND-NOT; and when a
 //    SignState is supplied, SetSigns becomes a bitmap diff against the
-//    replica's current sign bitmap, emitting only the ids whose sign
+//    store's current sign bitmap, emitting only the ids whose sign
 //    actually changes.  Distinct cache-miss rules evaluate concurrently
 //    when the backend supports it.
 
@@ -41,10 +42,11 @@ struct AnnotateStats {
   size_t rules_used = 0;
 };
 
-// The replica's current sign bitmap: exactly the alive ids whose sign is
+// The store's current sign bitmap: exactly the alive ids whose sign is
 // the non-default value (bits of deleted nodes may linger; see
-// node_bitmap.h).  Owned by the AccessController, threaded through the
-// annotator so consecutive (re)annotations diff instead of rewriting.
+// node_bitmap.h).  Owned by the AccessController and maintained by both
+// annotation paths: cached (re)annotations diff against it instead of
+// rewriting, and it is the sign set the WAL and snapshots record.
 struct SignState {
   // False until a full annotation establishes the bitmap, and again after
   // a document reload.  When invalid the annotator falls back to

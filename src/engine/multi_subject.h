@@ -5,18 +5,22 @@
 //
 // The paper fixes the rule tuple's `requester` component and studies a
 // single subject; this layer restores the dimension: each subject gets its
-// own policy, enforced through its own annotated replica of the document
-// (the materialized approach is per-policy by construction — one sign per
-// node — so per-subject annotations need per-subject stores).  Updates are
-// broadcast to every replica and to a master copy, which late-added
-// subjects are initialised from.
+// own policy over ONE shared store.  The materialized approach gives every
+// node one sign per policy, so a subject's annotation is its own sign
+// bitmap (plus a default sign), never its own copy of the document: each
+// subject's AccessController runs over a small backend that forwards
+// evaluation to the shared store and keeps the signs itself.  Only the
+// fleet mutates the store — once per update, between every subject's
+// Trigger/pre-scope step and every subject's re-annotation
+// (AccessController::PrepareUpdate / FinishUpdate).
 //
 // Two fleet-level optimizations (docs/performance.md):
 //  - one RuleScopeCache shared by every subject, so a rule path evaluated
-//    by one replica is a bitmap hit for all others (hospital-style
+//    for one subject is a bitmap hit for all others (hospital-style
 //    policies reuse scope paths heavily across subjects);
-//  - broadcasts fan out across subjects on a worker pool — replicas are
-//    independent stores, and the shared caches are thread-safe.
+//  - the per-subject update steps fan out across subjects on a worker pool
+//    when the store's evaluation is thread-safe (the native store); the
+//    relational executor is not, so there subjects run serially.
 
 #include <functional>
 #include <map>
@@ -31,8 +35,7 @@ namespace xmlac::engine {
 
 // The engine knobs (ExecOptions) reach every subject controller unchanged.
 struct MultiSubjectOptions : ExecOptions {
-  // Worker threads for the per-subject broadcast fan-out (0 = auto,
-  // 1 = serial).
+  // Worker threads for the per-subject fan-out (0 = auto, 1 = serial).
   size_t parallel_subjects = 0;
 };
 
@@ -48,19 +51,25 @@ struct SubjectDelta {
 // Everything the WAL needs to make one ApplyBatch replayable without
 // re-running policy evaluation.
 struct CommitCapture {
-  // The master document's journaled mutations for the batch (informational
-  // — replay re-derives them from the ops; may be empty when the bounded
-  // journal overflowed mid-batch).
+  // The document's journaled mutations for the batch (informational —
+  // replay re-derives them from the ops; empty when the bounded journal
+  // overflowed mid-batch or the store is not native).
   std::vector<xml::Mutation> master_mutations;
   std::map<std::string, SubjectDelta> subjects;
+};
+
+// One subject's sign state as recorded durably: its default sign and the
+// alive elements carrying the other sign, ascending.
+struct SubjectSigns {
+  char default_sign = '-';
+  std::vector<UniversalId> marked;
 };
 
 class MultiSubjectController {
  public:
   using BackendFactory = std::function<std::unique_ptr<Backend>()>;
 
-  // `factory` builds one store per subject (mixing backends per subject is
-  // allowed: the factory may return different kinds over its lifetime).
+  // `factory` builds the shared store, once per Load.
   explicit MultiSubjectController(BackendFactory factory,
                                   const MultiSubjectOptions& options = {});
 
@@ -68,8 +77,8 @@ class MultiSubjectController {
   Status Load(std::string_view dtd_text, std::string_view xml_text);
   Status LoadParsed(const xml::Dtd& dtd, const xml::Document& doc);
 
-  // Registers `subject` with its policy; the subject's replica reflects all
-  // updates applied so far.
+  // Registers `subject` with its policy, annotated against the document as
+  // updated so far.
   Status AddSubject(std::string_view subject, std::string_view policy_text);
   Status RemoveSubject(std::string_view subject);
 
@@ -80,24 +89,25 @@ class MultiSubjectController {
   Result<RequestOutcome> Query(std::string_view subject,
                                std::string_view xpath);
 
-  // Broadcast update: the batch is parsed once (a malformed op fails it
-  // before anything mutates), applied to the master, and every subject
-  // replica re-annotates once for the whole batch (see
-  // AccessController::ApplyBatch), concurrently per `parallel_subjects`.
+  // Fleet update: the batch is parsed once (a malformed op fails it before
+  // anything mutates); every subject runs Trigger over it and snapshots its
+  // pre-update scope; the store applies the ops once; every subject then
+  // re-annotates once for the whole batch.  The per-subject steps run
+  // concurrently per `parallel_subjects` on a thread-safe store.
   // Per-subject stats are returned by subject name.  The serving layer's
   // writer thread is the intended caller.
   Result<std::map<std::string, BatchStats>> ApplyBatch(
       const std::vector<BatchOp>& ops);
 
-  // ApplyBatch plus a WAL capture: on success `capture` holds the master's
-  // journaled mutations and each subject's sign delta for exactly this
-  // batch.  Passing null degrades to plain ApplyBatch.
+  // ApplyBatch plus a WAL capture: on success `capture` holds the
+  // document's journaled mutations and each subject's sign delta for
+  // exactly this batch.  Passing null degrades to plain ApplyBatch.
   Result<std::map<std::string, BatchStats>> ApplyBatch(
       const std::vector<BatchOp>& ops, CommitCapture* capture);
 
   // --- Recovery (src/storage/recovery.cc; see docs/durability.md) ---------
-  // Drops every subject and the loaded document, returning the controller
-  // to its freshly constructed state so recovery can re-load durable state
+  // Drops every subject and the loaded store, returning the controller to
+  // its freshly constructed state so recovery can re-load durable state
   // even after the caller already configured an initial document.
   void Reset();
 
@@ -107,9 +117,10 @@ class MultiSubjectController {
                         char default_sign,
                         const std::vector<UniversalId>& marked);
 
-  // Replays one committed batch from its WAL record: master mutations plus
-  // each subject's recorded sign decisions — no triggering, no rule
-  // evaluation.  Subjects missing from `deltas` replay with empty deltas.
+  // Replays one committed batch from its WAL record: the ops once on the
+  // store, then each subject's recorded sign decisions — no triggering, no
+  // rule evaluation.  Subjects missing from `deltas` replay with empty
+  // deltas.
   Result<std::map<std::string, BatchStats>> ReplayBatch(
       const std::vector<BatchOp>& ops,
       const std::map<std::string, SubjectDelta>& deltas);
@@ -121,9 +132,8 @@ class MultiSubjectController {
     rule_cache_.RestoreEpoch(epoch);
   }
 
-  // Installs checkpointed interval labels into the master store and every
-  // subject replica (their arenas are structurally identical, so one label
-  // vector fits all).  Non-native replicas are skipped.
+  // Installs checkpointed interval labels into the native store's
+  // structural index (no-op for other stores).
   void RestoreStructuralLabels(const std::vector<xpath::IntervalLabel>& labels);
 
   // The containment cache shared by every subject's optimizer and trigger
@@ -137,43 +147,56 @@ class MultiSubjectController {
   // benches and the perf-smoke CI gate).
   const RuleScopeCache& rule_cache() const { return rule_cache_; }
 
-  // The current (post-update) document.
-  const xml::Document& document() const { return master_.document(); }
+  // The shared store when it is the native one (the serve layer's
+  // snapshots and the durability code read its document and index); null
+  // for other stores or before Load.
+  const NativeXmlBackend* native_store() const { return native_; }
+
+  // The current (post-update) document; empty unless the store is native.
+  const xml::Document& document() const;
+
+  // `subject`'s durable sign state.  NotFound for an unknown subject,
+  // InvalidArgument unless the store is native (liveness is read from its
+  // document).
+  Result<SubjectSigns> Signs(std::string_view subject) const;
 
   // Direct access to a subject's controller, for reads and inspection.
-  // Updates MUST go through the broadcast methods above: a direct
-  // subject-level update would diverge the replica from the fleet while
-  // the fleet still shares one rule cache.
+  // Its backend refuses mutations: updates go through the fleet.
   AccessController* subject(std::string_view name);
 
  private:
-  // Parses `ops` and applies them to the master (the copy late subjects
-  // are built from); the parsed ops are then fanned out to the replicas.
-  Result<std::vector<ParsedOp>> ApplyToMaster(const std::vector<BatchOp>& ops);
-
-  // A subject controller over a fresh store, loaded with the master
-  // document and wired to the fleet's shared caches; policy not yet set.
+  // A subject controller over the shared store, wired to the fleet's shared
+  // caches; policy not yet set.
   Result<std::unique_ptr<AccessController>> NewSubjectController();
 
-  // Applies `fn` to every subject on the broadcast pool and collects
-  // per-subject results into a name-keyed map (first error wins).
-  Result<std::map<std::string, BatchStats>> FanOut(
-      const std::function<Result<BatchStats>(const std::string&,
-                                             AccessController*)>& fn);
+  // Runs `fn` for every subject (concurrently when the store supports
+  // parallel evaluation); the first error wins.  `fn` gets the subject's
+  // index in subjects_ order.
+  Status ForEachSubject(
+      const std::function<Status(size_t, AccessController*)>& fn);
 
   BackendFactory factory_;
   MultiSubjectOptions options_;
   std::unique_ptr<xml::Dtd> dtd_;
-  NativeXmlBackend master_;  // un-annotated source of truth for replicas
+  // The one store, and the same object typed when it is native.  Declared
+  // before subjects_: every subject backend points at it.
+  std::unique_ptr<Backend> store_;
+  const NativeXmlBackend* native_ = nullptr;
   // Declared before subjects_ so they outlive every controller that points
   // at them.  Both are thread-safe, so subject controllers may run on
   // worker threads.
   xpath::ContainmentCache containment_cache_;
   RuleScopeCache rule_cache_;
-  bool loaded_ = false;
   std::map<std::string, std::unique_ptr<AccessController>, std::less<>>
       subjects_;
 };
+
+// Compares two fleets' durable state: the document once (serialization and
+// structural version), then each subject's default sign and marked ids.
+// Returns "" when they are equal, otherwise the first difference.  Both
+// fleets must hold native stores.
+std::string DiffFleetState(const MultiSubjectController& a,
+                           const MultiSubjectController& b);
 
 }  // namespace xmlac::engine
 

@@ -173,7 +173,7 @@ Status NativeXmlBackend::ResetAllSigns(char default_sign) {
   default_sign_ = default_sign;
   // With no explicit sign attribute anywhere, every node already reads as
   // the (new) default: nothing to remove.  This makes the first annotation
-  // of a freshly loaded replica skip the full-document pass.
+  // of a freshly loaded store skip the full-document pass.
   if (non_default_signs_ == 0) return Status::OK();
   size_t reset = 0;
   for (xml::NodeId id = 0; id < doc_.size(); ++id) {
@@ -253,38 +253,44 @@ void NativeXmlBackend::RestoreStructuralLabels(
 }
 
 xml::Document NativeXmlBackend::AccessibleView() const {
-  xml::Document view;
-  if (!loaded_ || doc_.empty() || !doc_.IsAlive(doc_.root())) return view;
-  auto accessible = [&](xml::NodeId n) {
-    auto attr = doc_.GetAttribute(n, "sign");
+  if (!loaded_) return xml::Document();
+  return engine::AccessibleView(doc_, [&](xml::NodeId n) {
+    auto attr = doc_.GetAttribute(n, kSignAttr);
     char sign = attr.has_value() ? (*attr)[0] : default_sign_;
     return sign == '+';
-  };
-  if (!accessible(doc_.root())) return view;
+  });
+}
+
+xml::Document AccessibleView(
+    const xml::Document& doc,
+    const std::function<bool(xml::NodeId)>& accessible) {
+  xml::Document view;
+  if (doc.empty() || !doc.IsAlive(doc.root())) return view;
+  if (!accessible(doc.root())) return view;
   // (source node, parent in the view); kInvalidNode marks the root.
   std::vector<std::pair<xml::NodeId, xml::NodeId>> stack;
-  stack.emplace_back(doc_.root(), xml::kInvalidNode);
+  stack.emplace_back(doc.root(), xml::kInvalidNode);
   while (!stack.empty()) {
     auto [src, view_parent] = stack.back();
     stack.pop_back();
-    const xml::Node& n = doc_.node(src);
+    const xml::Node& n = doc.node(src);
     xml::NodeId dst = view_parent == xml::kInvalidNode
                           ? view.CreateRoot(n.label)
                           : view.CreateElement(view_parent, n.label);
     for (const xml::Attribute& a : n.attributes) {
-      if (a.name != "sign") view.SetAttribute(dst, a.name, a.value);
+      if (a.name != kSignAttr) view.SetAttribute(dst, a.name, a.value);
     }
     // Text children first (created eagerly), then accessible element
     // children via the stack.  Within each kind the source order is kept;
     // text-before-element interleaving of mixed content is not (the data
     // model is unordered, Sec. 2.1 of the paper).
     for (xml::NodeId c : n.children) {
-      if (doc_.node(c).alive && doc_.node(c).kind == xml::NodeKind::kText) {
-        view.CreateText(dst, doc_.node(c).label);
+      if (doc.node(c).alive && doc.node(c).kind == xml::NodeKind::kText) {
+        view.CreateText(dst, doc.node(c).label);
       }
     }
     for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
-      const xml::Node& c = doc_.node(*it);
+      const xml::Node& c = doc.node(*it);
       if (c.alive && c.kind == xml::NodeKind::kElement && accessible(*it)) {
         stack.emplace_back(*it, dst);
       }

@@ -9,6 +9,7 @@
 // stored information the attribute is only present when it differs from the
 // store's default sign (paper Sec. 5.2, Native XML).
 
+#include <functional>
 #include <memory>
 
 #include "engine/backend.h"
@@ -108,11 +109,8 @@ class NativeXmlBackend final : public Backend {
   // in xpath/structural_index.h.  Writer-side: must not race queries.
   void RestoreStructuralLabels(std::vector<xpath::IntervalLabel> labels);
 
-  // Materializes the security view of the annotated document (cf. the
-  // security-view line of work the paper relates to): a copy containing
-  // exactly the elements that are accessible *and* have only accessible
-  // ancestors, with `sign` attributes stripped.  An inaccessible root
-  // yields an empty document.
+  // The security view (see the free AccessibleView below) of the annotated
+  // document under its own signs.
   xml::Document AccessibleView() const;
 
  private:
@@ -146,10 +144,18 @@ class NativeXmlBackend final : public Backend {
   char default_sign_ = '-';
   // Number of alive nodes holding an explicit sign attribute.  When zero,
   // every sign equals the default and ResetAllSigns is O(1) — the common
-  // case for a freshly loaded replica's first annotation.  Deleted nodes
+  // case for a freshly loaded store's first annotation.  Deleted nodes
   // may leave the count conservatively high; a full reset re-zeroes it.
   size_t non_default_signs_ = 0;
 };
+
+// Materializes the security view of `doc` (cf. the security-view line of
+// work the paper relates to): a copy containing exactly the elements that
+// are `accessible` *and* have only accessible ancestors, with `sign`
+// attributes stripped.  An inaccessible root yields an empty document.
+xml::Document AccessibleView(
+    const xml::Document& doc,
+    const std::function<bool(xml::NodeId)>& accessible);
 
 }  // namespace xmlac::engine
 

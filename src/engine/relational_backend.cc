@@ -232,7 +232,7 @@ Status RelationalBackend::SetSigns(const std::vector<UniversalId>& ids,
 Status RelationalBackend::ResetAllSigns(char default_sign) {
   if (catalog_ == nullptr) return Status::Internal("backend not loaded");
   default_sign_ = default_sign;
-  // Every tuple already carries this sign (e.g. a freshly shredded replica
+  // Every tuple already carries this sign (e.g. a freshly shredded store
   // on its first annotation): the per-table UPDATEs would be no-ops.
   if (uniform_sign_ == default_sign) return Status::OK();
   for (const std::string& table_name : catalog_->TableNames()) {

@@ -151,7 +151,7 @@ class RelationalBackend final : public Backend {
   char default_sign_ = '-';
   // When non-zero, every live tuple's sign column is known to hold this
   // value, so ResetAllSigns to the same sign skips the per-table UPDATEs —
-  // the fresh-replica fast path.  Any write that could mix signs zeroes it.
+  // the fresh-store fast path.  Any write that could mix signs zeroes it.
   char uniform_sign_ = 0;
   // Next fresh universal id for inserts.  Seeded with the loaded document's
   // arena size and advanced over text nodes too, so ids assigned by

@@ -27,7 +27,11 @@ DependencyGraph::DependencyGraph(const Policy& policy,
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = i + 1; j < n; ++j) {
       if (rules[i].effect == rules[j].effect) continue;
-      if (contains(i, j) || contains(j, i)) {
+      // Overlap, not only containment: when the scopes intersect without
+      // either containing the other, the shared nodes' sign still depends
+      // on both rules.
+      if (xpath::MayOverlap(rules[i].resource, rules[j].resource) ||
+          contains(i, j) || contains(j, i)) {
         adjacency_[i].push_back(j);
         adjacency_[j].push_back(i);
       }

@@ -4,9 +4,10 @@
 // Rule dependency graph (paper Fig. 7 / Sec. 5.3).
 //
 // Two rules are adjacent when they have *opposite* effects and their
-// resources are related by containment (either direction, including
-// equivalence): re-annotating the scope of one may need the other to decide
-// the final sign.  Depends(r) is the set of rules reachable from r — the
+// resources may select a common node: related by containment (either
+// direction, including equivalence) or merely overlapping
+// (xpath::MayOverlap).  Re-annotating the scope of one may need the other
+// to decide the final sign of the shared nodes.  Depends(r) is the set of rules reachable from r — the
 // transitive closure Depend-Resolve computes — so Trigger can add every rule
 // whose outcome interacts with a triggered one.
 
@@ -28,7 +29,7 @@ class DependencyGraph {
 
   size_t num_rules() const { return adjacency_.size(); }
 
-  // Direct neighbours of rule `i` (opposite effect, containment-related).
+  // Direct neighbours of rule `i` (opposite effect, possibly overlapping).
   const std::vector<size_t>& Neighbours(size_t i) const {
     return adjacency_[i];
   }

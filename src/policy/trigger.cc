@@ -48,10 +48,7 @@ std::vector<size_t> TriggerIndex::Trigger(const xpath::Path& u,
                      ? (cache->Contains(x, u, expansion_keys_[i][k], u_key) ||
                         cache->Contains(u, x, u_key, expansion_keys_[i][k]))
                      : (xpath::Contains(x, u) || xpath::Contains(u, x));
-      if (!hit && options_.overlap_test) {
-        hit = xpath::MayOverlap(x, u);
-      }
-      if (hit) {
+      if (hit || xpath::MayOverlap(x, u)) {
         fired[i] = true;
         ++local.directly_triggered;
         break;

@@ -9,9 +9,13 @@
 //      pattern touches, with descendant axes inside the pattern rewritten
 //      via the schema (xpath::Expand).
 //   2. A rule fires when some expanded path x satisfies x ⊑ u or u ⊑ x
-//      (equivalence is both).
+//      (equivalence is both), or when x and u may select a common node
+//      (xpath::MayOverlap) — the paper's Trigger "tests containment/overlap
+//      against u"; containment alone misses e.g. an insert under //e3 for
+//      a rule /*//*, whose expansions neither contain nor are contained by
+//      //e3/e6.
 //   3. Close the fired set over the dependency graph (opposite-effect rules
-//      related by containment).
+//      whose resources may overlap).
 
 #include <vector>
 
@@ -25,9 +29,6 @@ namespace xmlac::policy {
 
 struct TriggerOptions {
   xpath::ExpansionOptions expansion;
-  // When true, also fire on MayOverlap(x, u) — strictly more conservative
-  // than the paper's containment-only test; exposed for experiments.
-  bool overlap_test = false;
   // Optional memoization of containment tests across updates (the paper
   // cached containment results the same way).  Not owned; must outlive the
   // index.

@@ -41,11 +41,6 @@ Server::Server(ServerOptions options)
       write_queue_(options.write_queue_capacity) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
-  // One tracer per worker plus one for the writer (tracers are
-  // single-threaded by design; disabled by default, like the engine's).
-  for (size_t i = 0; i < options_.workers + 1; ++i) {
-    tracers_.push_back(std::make_unique<obs::Tracer>());
-  }
 }
 
 Server::~Server() { Stop(); }
@@ -113,17 +108,10 @@ Status Server::AppendGenesisRecord() {
   record.dtd_text = dtd_text_;
   controller_.document().AppendBinary(&record.master_binary);
   for (const std::string& name : controller_.SubjectNames()) {
-    engine::AccessController* ac = controller_.subject(name);
-    storage::SubjectState s;
-    s.name = name;
-    auto it = policies_.find(name);
-    if (it == policies_.end()) {
-      return Status::Internal("no retained policy text for subject '" + name +
-                              "'");
-    }
-    s.policy_text = it->second;
-    s.default_sign = ac->CurrentDefaultSign();
-    s.marked = ac->ExportMarkedSigns();
+    XMLAC_ASSIGN_OR_RETURN(engine::SubjectSigns signs,
+                           controller_.Signs(name));
+    XMLAC_ASSIGN_OR_RETURN(storage::SubjectState s,
+                           DurableSubject(name, std::move(signs)));
     record.subjects.push_back(std::move(s));
   }
   XMLAC_RETURN_IF_ERROR(
@@ -374,7 +362,6 @@ std::string HealthText(const ServerHealth& health) {
 }
 
 void Server::WorkerLoop(size_t worker_index) {
-  obs::Tracer* tracer = tracers_[worker_index].get();
   // The registry is owned by this server and instruments are
   // stable-addressed, so resolve every per-request instrument ONCE here
   // instead of paying a registry lock + map lookup per increment.
@@ -395,11 +382,12 @@ void Server::WorkerLoop(size_t worker_index) {
   while (true) {
     std::optional<ReadTask> task = read_queue_.Pop();
     if (!task.has_value()) break;  // closed and drained
-    // Install the server's metrics registry (and this worker's tracer) as
-    // the thread-local obs context — without this, everything the snapshot
-    // read path and the XPath evaluator report would silently drop, since
-    // no AccessController runs on this thread to install sinks.
-    obs::ScopedObsContext obs_context(&metrics_, tracer);
+    // Install the server's metrics registry as the thread-local obs
+    // context — without this, everything the snapshot read path and the
+    // XPath evaluator report would silently drop, since no
+    // AccessController runs on this thread to install sinks.  Spans reach
+    // the flight recorder through the ring alone.
+    obs::ScopedMetrics metrics_context(&metrics_);
     const size_t depth = read_queue_.size();
     if (ring != nullptr) {
       // The queue snapshot rides in the begin event (name = queue, arg =
@@ -409,7 +397,7 @@ void Server::WorkerLoop(size_t worker_index) {
     }
     ServeResponse resp;
     {
-      obs::ScopedSpan span(tracer, "serve.read");
+      obs::ScopedSpan span("serve.read");
       depth_gauge->Set(static_cast<int64_t>(depth));
       requests->Increment();
       SnapshotPtr snapshot = snapshot_.load();
@@ -446,7 +434,6 @@ void Server::WorkerLoop(size_t worker_index) {
 }
 
 void Server::WriterLoop() {
-  obs::Tracer* tracer = tracers_.back().get();
   // Hoisted instrument handles, same rationale as WorkerLoop.
   obs::Counter* batches = metrics_.counter("serve.batches");
   obs::Counter* applied = metrics_.counter("serve.updates.applied");
@@ -466,7 +453,7 @@ void Server::WriterLoop() {
   while (true) {
     batch.clear();
     if (write_queue_.PopBatch(&batch, options_.max_batch) == 0) break;
-    obs::ScopedObsContext obs_context(&metrics_, tracer);
+    obs::ScopedMetrics metrics_context(&metrics_);
     Timer batch_timer;
     if (ring != nullptr) {
       // The whole coalesced batch — trigger evaluation, re-annotation,
@@ -478,7 +465,7 @@ void Server::WriterLoop() {
     }
     ServeResponse resp;
     {
-      obs::ScopedSpan span(tracer, "serve.write_batch");
+      obs::ScopedSpan span("serve.write_batch");
       depth_gauge->Set(static_cast<int64_t>(write_queue_.size()));
 
       std::vector<engine::BatchOp> ops;
@@ -564,18 +551,13 @@ void Server::WriterLoop() {
       }
       // Checkpoint barriers capture their job here, on the writer thread,
       // after this batch's ops are applied — the engine is quiescent
-      // between batches, so the capture (and its Clone in the
-      // zero-subject case) never races ApplyBatch.
+      // between batches, so the capture (a document clone plus each
+      // subject's signs) never races ApplyBatch.
       for (WriteTask* t : ckpt_barriers) {
         t->checkpoint->set_value(MakeCheckpointJob());
         ServeResponse barrier_resp;
         barrier_resp.epoch = epoch_.load(std::memory_order_acquire);
         t->done.set_value(std::move(barrier_resp));
-      }
-      if (span.active()) {
-        span.AddCount("batch_size", static_cast<int64_t>(ops.size()));
-        span.AddCount("rules_triggered",
-                      static_cast<int64_t>(resp.rules_triggered));
       }
     }
     if (ring != nullptr) {
@@ -591,23 +573,45 @@ void Server::WriterLoop() {
   }
 }
 
-Server::CheckpointJob Server::MakeCheckpointJob() {
+Result<storage::SubjectState> Server::DurableSubject(
+    const std::string& name, engine::SubjectSigns signs) const {
+  auto it = policies_.find(name);
+  if (it == policies_.end()) {
+    return Status::Internal("no retained policy text for subject '" + name +
+                            "'");
+  }
+  storage::SubjectState s;
+  s.name = name;
+  s.policy_text = it->second;
+  s.default_sign = signs.default_sign;
+  s.marked = std::move(signs.marked);
+  return s;
+}
+
+Result<Server::CheckpointJob> Server::MakeCheckpointJob() {
+  // Both the post-batch checkpoint scheduling and CheckpointNow's queue
+  // barrier run this on the writer thread, which owns the engine.
   CheckpointJob job;
-  job.snapshot = snapshot_.load();
+  job.epoch = epoch_.load(std::memory_order_acquire);
   job.rule_cache_epoch = controller_.rule_cache().epoch();
-  if (job.snapshot != nullptr && job.snapshot->subjects.empty()) {
-    // No replica to reconstruct the master from: clone it here, on the
-    // writer thread, which owns the engine (both the post-batch checkpoint
-    // scheduling and CheckpointNow's queue barrier run the capture there).
-    job.master = controller_.document().Clone();
+  job.document = controller_.document().Clone();
+  for (const std::string& name : controller_.SubjectNames()) {
+    XMLAC_ASSIGN_OR_RETURN(engine::SubjectSigns signs,
+                           controller_.Signs(name));
+    job.subjects.emplace_back(name, std::move(signs));
   }
   return job;
 }
 
 void Server::ScheduleCheckpoint() {
+  Result<CheckpointJob> job = MakeCheckpointJob();
+  if (!job.ok()) {
+    obs::IncrementCounter("serve.checkpoint.errors");
+    return;
+  }
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
-    pending_ckpt_ = MakeCheckpointJob();  // newest wins
+    pending_ckpt_ = std::move(*job);  // newest wins
   }
   ckpt_cv_.notify_all();
 }
@@ -633,45 +637,16 @@ Status Server::BuildAndWriteCheckpoint(CheckpointJob job) {
   // checkpointer must not interleave their write/remove-older/truncate
   // sequences.
   std::lock_guard<std::mutex> lock(ckpt_write_mu_);
-  if (job.snapshot == nullptr) return Status::Internal("no snapshot");
   Timer timer;
   storage::CheckpointData data;
-  data.epoch = job.snapshot->epoch;
+  data.epoch = job.epoch;
   data.rule_cache_epoch = job.rule_cache_epoch;
   data.dtd_text = dtd_text_;
-  // Reconstruct the un-annotated master from any replica: replica arenas
-  // are structurally identical to the master's (same clone origin, same
-  // mutation sequence), differing only in `sign` attributes.
-  xml::Document master;
-  if (!job.snapshot->subjects.empty()) {
-    const SubjectView& view = job.snapshot->subjects.begin()->second;
-    master = view.doc->Clone();
-    for (xml::NodeId id = 0; id < master.size(); ++id) {
-      if (master.IsAlive(id)) (void)master.RemoveAttribute(id, "sign");
-    }
-  } else if (job.master.has_value()) {
-    master = std::move(*job.master);
-  } else {
-    return Status::Internal("checkpoint job carries no document");
-  }
-  data.labels = xpath::ComputeIntervalLabels(master);
-  master.AppendBinary(&data.master_binary);
-  for (const auto& [name, view] : job.snapshot->subjects) {
-    storage::SubjectState s;
-    s.name = name;
-    auto it = policies_.find(name);
-    if (it == policies_.end()) {
-      return Status::Internal("no retained policy text for subject '" + name +
-                              "'");
-    }
-    s.policy_text = it->second;
-    s.default_sign = view.default_sign;
-    for (xml::NodeId id = 0; id < view.doc->size(); ++id) {
-      if (view.doc->IsAlive(id) &&
-          view.doc->GetAttribute(id, "sign").has_value()) {
-        s.marked.push_back(static_cast<engine::UniversalId>(id));
-      }
-    }
+  data.labels = xpath::ComputeIntervalLabels(job.document);
+  job.document.AppendBinary(&data.master_binary);
+  for (auto& [name, signs] : job.subjects) {
+    XMLAC_ASSIGN_OR_RETURN(storage::SubjectState s,
+                           DurableSubject(name, std::move(signs)));
     data.subjects.push_back(std::move(s));
   }
   XMLAC_RETURN_IF_ERROR(
@@ -698,13 +673,14 @@ Status Server::CheckpointNow() {
                             "already reported non-durable");
   }
   // Capture the job on the writer thread via a queue barrier, so the
-  // snapshot + rule-cache-epoch + master clone never race ApplyBatch.
+  // document clone and sign capture never race ApplyBatch.
   WriteTask task;
-  task.checkpoint = std::make_shared<std::promise<CheckpointJob>>();
-  std::future<CheckpointJob> job = task.checkpoint->get_future();
+  task.checkpoint = std::make_shared<std::promise<Result<CheckpointJob>>>();
+  std::future<Result<CheckpointJob>> job = task.checkpoint->get_future();
   if (!write_queue_.Push(task)) return StoppedError();
   obs::ScopedMetrics metrics_context(&metrics_);
-  return BuildAndWriteCheckpoint(job.get());
+  XMLAC_ASSIGN_OR_RETURN(CheckpointJob captured, job.get());
+  return BuildAndWriteCheckpoint(std::move(captured));
 }
 
 }  // namespace xmlac::serve

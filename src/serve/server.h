@@ -10,8 +10,8 @@
 //   clients ──SubmitUpdate─▶ [bounded write queue] ─▶ writer thread ──▶
 //             batch coalescing ▶ one Trigger/Reannotate ▶ publish snapshot
 //
-// Readers resolve requests against an immutable shared_ptr snapshot of the
-// annotated per-subject replicas (epoch-style publication: one
+// Readers resolve requests against an immutable shared_ptr snapshot of
+// every subject's annotated document (epoch-style publication: one
 // pointer-copy handoff per request — see SnapshotSlot — after which the
 // read touches no shared mutable state).  A single writer thread
 // drains all pending updates from the write queue, applies them as ONE
@@ -26,11 +26,11 @@
 // coalescing deterministic.
 //
 // Observability: the server owns one MetricsRegistry shared by all of its
-// threads.  Each worker and the writer install it (with a per-thread
-// tracer) as the thread-local obs context around every request, so the
-// deep-layer instrumentation that AccessController would install on the
-// caller's thread keeps flowing on pool threads instead of silently
-// dropping.  New serve.* metric names are cataloged in docs/serving.md.
+// threads.  Each worker and the writer install it as the thread-local
+// metrics context around every request, so the deep-layer instrumentation
+// that AccessController would install on the caller's thread keeps flowing
+// on pool threads instead of silently dropping; spans reach the flight
+// recorder through each thread's ring.  New serve.* metric names are cataloged in docs/serving.md.
 
 #include <atomic>
 #include <condition_variable>
@@ -224,7 +224,7 @@ class Server {
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::MetricsSnapshot SnapshotMetrics() const { return metrics_.Snapshot(); }
 
-  // One subject's engine metrics (annotator.*, trigger.* — the per-replica
+  // One subject's engine metrics (annotator.*, trigger.* — the per-subject
   // registries AccessController installs around engine operations).  Safe
   // at any time; registries are thread-safe.  NotFound for unknown names.
   Result<obs::MetricsSnapshot> SubjectMetrics(std::string_view subject);
@@ -273,13 +273,13 @@ class Server {
   };
 
   // A checkpoint job: everything the background checkpointer needs without
-  // touching live engine state (the snapshot is immutable; `master` is a
-  // pre-cloned fallback for the zero-subject case, where no replica exists
-  // to reconstruct the master from).
+  // touching live engine state — the committed document and each subject's
+  // sign state, captured on the writer thread.
   struct CheckpointJob {
-    SnapshotPtr snapshot;
-    std::optional<xml::Document> master;
+    uint64_t epoch = 0;
     uint64_t rule_cache_epoch = 0;
+    xml::Document document;
+    std::vector<std::pair<std::string, engine::SubjectSigns>> subjects;
   };
 
   struct WriteTask {
@@ -289,7 +289,7 @@ class Server {
     // When set, the task is a CheckpointNow barrier instead of an update:
     // the writer thread captures a CheckpointJob after applying the batch's
     // ops (so the capture never races the engine) and fulfills the promise.
-    std::shared_ptr<std::promise<CheckpointJob>> checkpoint;
+    std::shared_ptr<std::promise<Result<CheckpointJob>>> checkpoint;
   };
 
   void WorkerLoop(size_t worker_index);
@@ -304,9 +304,13 @@ class Server {
   // Builds and atomically writes the checkpoint for `job`, then truncates
   // covered WAL segments.
   Status BuildAndWriteCheckpoint(CheckpointJob job);
-  // Hands the current snapshot to the checkpointer thread (newest wins).
+  // Hands the current state to the checkpointer thread (newest wins).
   void ScheduleCheckpoint();
-  CheckpointJob MakeCheckpointJob();
+  // Writer thread only: the engine must not be mid-batch.
+  Result<CheckpointJob> MakeCheckpointJob();
+  // `name`'s WAL/checkpoint record: its retained policy text plus `signs`.
+  Result<storage::SubjectState> DurableSubject(
+      const std::string& name, engine::SubjectSigns signs) const;
 
   ServerOptions options_;
   engine::MultiSubjectController controller_;
@@ -324,12 +328,9 @@ class Server {
   std::thread writer_;
 
   obs::MetricsRegistry metrics_;
-  // One tracer per pool thread (tracers are single-threaded by design);
-  // index workers.size() belongs to the writer.
-  std::vector<std::unique_ptr<obs::Tracer>> tracers_;
 
-  // Flight recorder: one ring per pool thread (same indexing as tracers_),
-  // drained by drainer_ every drain_interval_ms.  Null/empty when disabled.
+  // Flight recorder: one ring per worker, then one for the writer, drained
+  // by drainer_ every drain_interval_ms.  Null/empty when disabled.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::vector<obs::EventRing*> rings_;
   // Ring pool for ParallelFor workers spawned under sharded execution: each

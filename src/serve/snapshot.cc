@@ -75,23 +75,33 @@ Result<SnapshotPtr> BuildSnapshot(engine::MultiSubjectController& controller,
                                   uint64_t epoch, bool capture_index) {
   obs::ScopedSpan span("serve.snapshot.build");
   obs::ScopedTimer timer("serve.snapshot.build_us");
+  const engine::NativeXmlBackend* store = controller.native_store();
+  if (store == nullptr) {
+    return Status::InvalidArgument("snapshots require a native-XML store");
+  }
+  const xml::Document& doc = store->document();
+  // One index for every view: signs are attributes and never touch the
+  // structural version, and Clone() preserves it, so the store's published
+  // IndexVersion matches each annotated clone exactly.
+  std::shared_ptr<const xpath::IndexVersion> index =
+      capture_index ? store->CurrentIndexVersion() : nullptr;
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->epoch = epoch;
   for (const std::string& name : controller.SubjectNames()) {
-    engine::AccessController* ac = controller.subject(name);
-    auto* native = dynamic_cast<engine::NativeXmlBackend*>(ac->backend());
-    if (native == nullptr) {
-      return Status::InvalidArgument(
-          "snapshots require native-XML subject backends (subject '" + name +
-          "' is " + ac->backend()->name() + ")");
-    }
+    const engine::AccessController* ac = controller.subject(name);
     SubjectView view;
-    view.doc = std::make_shared<const xml::Document>(native->document().Clone());
-    // Clone() preserves the version counter, so the backend's published
-    // IndexVersion matches the frozen clone exactly (tree+signs+index
-    // travel together; signs are attributes and never touch the index).
-    if (capture_index) view.index = native->CurrentIndexVersion();
-    view.default_sign = native->default_sign();
+    view.default_sign = ac->CurrentDefaultSign();
+    const std::string flipped(1, view.default_sign == '-' ? '+' : '-');
+    // The subject's annotated document: the shared tree with a `sign`
+    // attribute on exactly the alive nodes its bitmap marks — the form the
+    // native store itself materializes (paper Sec. 5.2).
+    xml::Document annotated = doc.Clone();
+    for (engine::UniversalId id : ac->ExportMarkedSigns()) {
+      const auto n = static_cast<xml::NodeId>(id);
+      if (annotated.IsAlive(n)) annotated.SetAttribute(n, kSignAttr, flipped);
+    }
+    view.doc = std::make_shared<const xml::Document>(std::move(annotated));
+    view.index = index;
     snapshot->subjects.emplace(name, std::move(view));
   }
   return SnapshotPtr(std::move(snapshot));

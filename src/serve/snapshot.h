@@ -4,8 +4,8 @@
 // Immutable annotated snapshots for concurrent reads.
 //
 // The materialized approach concentrates its cost in (re-)annotation and
-// makes a read a sign check — so a published snapshot of the annotated
-// per-subject replicas is all a reader needs.  Snapshots are immutable by
+// makes a read a sign check — so a published snapshot of every subject's
+// annotated document is all a reader needs.  Snapshots are immutable by
 // construction (const documents behind shared_ptr), readers resolve
 // requests against whichever snapshot was current when they started, and
 // the writer publishes a fresh snapshot per update batch.  No reader ever
@@ -26,14 +26,16 @@
 
 namespace xmlac::serve {
 
-// One subject's annotated replica, frozen.  `index` is the structural
-// IndexVersion the subject's backend had published when the snapshot was
-// built — the same immutable version the writer's own queries used — so a
-// snapshot read always sees a matching tree+signs+index triple and
-// evaluates through the structural engine without pinning an epoch (the
-// shared_ptr keeps the version alive for the snapshot's lifetime).  Null
-// when the snapshot was built without indexes (ServerOptions::
-// snapshot_index false); reads then use the naive evaluator.
+// One subject's annotated document, frozen: the fleet's shared tree with
+// the subject's signs written as `sign` attributes.  `index` is the
+// structural IndexVersion the shared store had published when the snapshot
+// was built — the same immutable version the writer's own queries used,
+// and the same pointer in every view of the snapshot — so a snapshot read
+// always sees a matching tree+signs+index triple and evaluates through the
+// structural engine without pinning an epoch (the shared_ptr keeps the
+// version alive for the snapshot's lifetime).  Null when the snapshot was
+// built without indexes (ServerOptions::snapshot_index false); reads then
+// use the naive evaluator.
 struct SubjectView {
   std::shared_ptr<const xml::Document> doc;
   std::shared_ptr<const xpath::IndexVersion> index;
@@ -89,9 +91,11 @@ Result<engine::RequestOutcome> QuerySnapshot(const Snapshot& snapshot,
                                              std::string_view subject,
                                              const xpath::Path& query);
 
-// Freezes the current state of every subject replica of `controller` into
-// a snapshot stamped `epoch`.  Requires native-XML subject backends (the
-// document clone *is* the snapshot); returns InvalidArgument otherwise.
+// Freezes the current state of every subject of `controller` into a
+// snapshot stamped `epoch`: one clone of the shared document per subject,
+// annotated from its sign bitmap, all sharing the store's one
+// IndexVersion.  Requires a native-XML store; returns InvalidArgument
+// otherwise.
 // Used by the server's writer thread after each batch, and by tests to
 // build serial-oracle snapshots with the same code path.  `capture_index`
 // false skips embedding IndexVersions, pinning reads to the naive

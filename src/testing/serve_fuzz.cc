@@ -13,7 +13,6 @@
 #include "serve/server.h"
 #include "storage/recovery.h"
 #include "testing/oracle.h"
-#include "xml/serializer.h"
 #include "xpath/parser.h"
 
 namespace xmlac::testing {
@@ -259,19 +258,6 @@ ServeFuzzResult RunServeFuzz(const ServeFuzzOptions& options) {
   return result;
 }
 
-namespace {
-
-// Serializes one subject's annotated replica (tree + sign attributes) plus
-// its default sign — the full durable annotation state in one string.
-Result<std::string> SubjectStateString(engine::AccessController* ac) {
-  auto* native = dynamic_cast<engine::NativeXmlBackend*>(ac->backend());
-  if (native == nullptr) return Status::Internal("non-native backend");
-  return std::string(1, native->default_sign()) + "\n" +
-         xml::Serialize(native->document());
-}
-
-}  // namespace
-
 RecoveryFuzzResult RunRecoveryFuzz(const RecoveryFuzzOptions& options) {
   RecoveryFuzzResult result;
   Random rng(options.seed * 0x9E3779B97F4A7C15ULL + 11);
@@ -408,33 +394,12 @@ RecoveryFuzzResult RunRecoveryFuzz(const RecoveryFuzzOptions& options) {
     }
   }
 
-  // Kill-and-recover equivalence: byte-identical master and replicas.
-  if (xml::Serialize(recovered_controller.document()) !=
-      xml::Serialize(reference.document())) {
-    return fail("recovered master differs from reference at crash point " +
-                std::to_string(result.crash_point));
-  }
-  if (recovered_controller.document().version() !=
-      reference.document().version()) {
-    return fail("recovered master version differs from reference");
-  }
-  for (size_t i = 0; i < subjects; ++i) {
-    engine::AccessController* rec_ac =
-        recovered_controller.subject(SubjectName(i));
-    engine::AccessController* ref_ac = reference.subject(SubjectName(i));
-    if (rec_ac == nullptr || ref_ac == nullptr) {
-      return fail("subject " + SubjectName(i) + " missing after recovery");
-    }
-    auto rec_state = SubjectStateString(rec_ac);
-    auto ref_state = SubjectStateString(ref_ac);
-    if (!rec_state.ok() || !ref_state.ok()) {
-      return fail("subject state serialization failed");
-    }
-    if (*rec_state != *ref_state) {
-      return fail("subject " + SubjectName(i) +
-                  " annotations differ after recovery at crash point " +
-                  std::to_string(result.crash_point));
-    }
+  // Kill-and-recover equivalence: byte-identical document, equal signs.
+  const std::string diff = engine::DiffFleetState(recovered_controller,
+                                                  reference);
+  if (!diff.empty()) {
+    return fail("recovered state differs from reference at crash point " +
+                std::to_string(result.crash_point) + ": " + diff);
   }
 
   // Oracle probes: recovered answers must match brute force at the prefix.

@@ -69,10 +69,10 @@ ServeFuzzResult RunServeFuzz(const ServeFuzzOptions& options);
 // append silently vanishes, optionally leaving a torn frame prefix), then
 // recovers the data directory into a fresh engine and checks:
 //
-//  * the recovered state is byte-identical to a reference engine that
-//    applied exactly the durable prefix of the stream — master document
-//    serialization, per-subject annotated replicas (tree + sign
-//    attributes), and document versions;
+//  * the recovered state equals a reference engine that applied exactly
+//    the durable prefix of the stream (engine::DiffFleetState): the
+//    document's serialization and version, and each subject's default
+//    sign and marked ids;
 //  * recovered answers match the brute-force oracle at the durable prefix
 //    for a pool of probe queries (granted / selected / accessible).
 //

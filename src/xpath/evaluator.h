@@ -20,7 +20,8 @@ class IndexVersion;
 // structural_index.h); the caller guarantees it was built for `doc`'s
 // lineage.  If the version is missing or doesn't match the queried
 // document, evaluation falls back to the naive path — the switch can never
-// make results stale.
+// make results stale — and counts `xpath.structural.fallbacks`, since a
+// requested index that is not there means a publish was missed upstream.
 struct EvaluatorOptions {
   bool use_structural_index = false;
   const IndexVersion* index = nullptr;

@@ -505,10 +505,26 @@ std::vector<NodeId> EvaluateFromStructural(const Path& path,
   return EvaluateFromStructuralImpl(path, doc, context, index, &shard);
 }
 
+namespace {
+
+// Whether `options` route to the structural engine.  A requested index that
+// is missing or was built for another document version answers through the
+// naive evaluator — correct, but a broken publish upstream — so it is
+// counted, never silent.
+bool UseStructural(const EvaluatorOptions& options, const Document& doc) {
+  if (!options.use_structural_index) return false;
+  if (options.index != nullptr && options.index->Matches(doc)) return true;
+  static thread_local obs::CounterHandle fallbacks(
+      "xpath.structural.fallbacks");
+  fallbacks.Increment();
+  return false;
+}
+
+}  // namespace
+
 std::vector<NodeId> Evaluate(const Path& path, const Document& doc,
                              const EvaluatorOptions& options) {
-  if (options.use_structural_index && options.index != nullptr &&
-      options.index->Matches(doc)) {
+  if (UseStructural(options, doc)) {
     return EvaluateStructural(path, doc, *options.index, options.shard);
   }
   return Evaluate(path, doc);
@@ -517,8 +533,7 @@ std::vector<NodeId> Evaluate(const Path& path, const Document& doc,
 std::vector<NodeId> EvaluateFrom(const Path& path, const Document& doc,
                                  NodeId context,
                                  const EvaluatorOptions& options) {
-  if (options.use_structural_index && options.index != nullptr &&
-      options.index->Matches(doc)) {
+  if (UseStructural(options, doc)) {
     return EvaluateFromStructural(path, doc, context, *options.index,
                                   options.shard);
   }

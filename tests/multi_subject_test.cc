@@ -89,8 +89,8 @@ TEST_F(MultiSubjectTest, UpdateBroadcastsToAllSubjects) {
   ASSERT_TRUE(stats.ok()) << stats.status();
   EXPECT_EQ(stats->size(), 3u);
   EXPECT_EQ(stats->at("nurse").nodes_deleted, 8u);
-  // After deletion every subject's replica agrees treatments are gone and
-  // the nurse sees all patients.
+  // After deletion every subject agrees treatments are gone and the nurse
+  // sees all patients.
   EXPECT_TRUE(msc_.Query("nurse", "//patient").ok());
   auto doctor = msc_.Query("doctor", "//treatment");
   ASSERT_TRUE(doctor.ok());
@@ -123,8 +123,8 @@ TEST_F(MultiSubjectTest, LateSubjectSeesCurrentDocument) {
 }
 
 // A batch is parsed whole before anything mutates: a malformed op fails it
-// with the master untouched, so a subject added afterwards still agrees
-// with the existing replicas.
+// with the document untouched, so a subject added afterwards still agrees
+// with the existing subjects.
 TEST_F(MultiSubjectTest, MalformedBatchLeavesMasterUnchanged) {
   const size_t nodes_before = msc_.document().alive_count();
   auto stats = msc_.ApplyBatch({BatchOp::Delete("//bill"),
@@ -155,20 +155,36 @@ TEST_F(MultiSubjectTest, SubjectNamesSorted) {
             (std::vector<std::string>{"billing", "doctor", "nurse"}));
 }
 
-TEST(MultiSubjectMixedBackendsTest, FactoryMayVaryBackendKind) {
-  int counter = 0;
-  MultiSubjectController msc([&counter]() -> std::unique_ptr<Backend> {
-    if (counter++ == 0) return std::make_unique<NativeXmlBackend>();
-    return std::make_unique<RelationalBackend>();
-  });
-  ASSERT_TRUE(msc.Load(testdata::kHospitalDtd, testdata::kHospitalDoc).ok());
-  ASSERT_TRUE(msc.AddSubject("a", kDoctorPolicy).ok());
-  ASSERT_TRUE(msc.AddSubject("b", kDoctorPolicy).ok());
-  // Both backends answer identically.
-  auto qa = msc.Query("a", "//bill");
-  auto qb = msc.Query("b", "//bill");
-  ASSERT_TRUE(qa.ok() && qb.ok());
-  EXPECT_EQ(qa->ids, qb->ids);
+// The shared store may be relational: subjects run serially over it (its
+// executor is not thread-safe) and answer exactly like a native fleet,
+// before and after an update.
+TEST(MultiSubjectRelationalTest, RelationalStoreAnswersLikeNative) {
+  MultiSubjectController relational(
+      [] { return std::make_unique<RelationalBackend>(); });
+  MultiSubjectController native(NativeFactory);
+  for (MultiSubjectController* msc : {&relational, &native}) {
+    ASSERT_TRUE(
+        msc->Load(testdata::kHospitalDtd, testdata::kHospitalDoc).ok());
+    ASSERT_TRUE(msc->AddSubject("nurse", kNursePolicy).ok());
+    ASSERT_TRUE(msc->AddSubject("doctor", kDoctorPolicy).ok());
+  }
+  auto expect_same = [&] {
+    for (const char* subject : {"nurse", "doctor"}) {
+      for (const char* q : {"//bill", "//patient", "//patient/name"}) {
+        auto r = relational.Query(subject, q);
+        auto n = native.Query(subject, q);
+        ASSERT_EQ(r.ok(), n.ok()) << subject << " " << q;
+        if (r.ok()) {
+          EXPECT_EQ(r->ids, n->ids) << subject << " " << q;
+        }
+      }
+    }
+  };
+  expect_same();
+  for (MultiSubjectController* msc : {&relational, &native}) {
+    ASSERT_TRUE(msc->ApplyBatch({BatchOp::Delete("//patient/treatment")}).ok());
+  }
+  expect_same();
 }
 
 TEST(MultiSubjectLifecycleTest, OrderingErrors) {
@@ -176,7 +192,8 @@ TEST(MultiSubjectLifecycleTest, OrderingErrors) {
   EXPECT_FALSE(msc.AddSubject("early", kNursePolicy).ok());
   ASSERT_TRUE(msc.Load(testdata::kHospitalDtd, testdata::kHospitalDoc).ok());
   ASSERT_TRUE(msc.AddSubject("x", kNursePolicy).ok());
-  // Re-loading with subjects present is rejected (replicas would diverge).
+  // Re-loading with subjects present is rejected (their signs would name
+  // nodes of the old document).
   EXPECT_EQ(msc.Load(testdata::kHospitalDtd, testdata::kHospitalDoc).code(),
             StatusCode::kInvalidArgument);
 }

@@ -14,11 +14,13 @@
 #include "engine/access_controller.h"
 #include "engine/native_backend.h"
 #include "engine/relational_backend.h"
+#include "policy/policy.h"
 #include "testing/diff.h"
 #include "testing/generators.h"
 #include "workload/coverage.h"
 #include "workload/queries.h"
 #include "workload/xmark.h"
+#include "xml/dtd.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 #include "xpath/parser.h"
@@ -44,6 +46,56 @@ TEST_P(SeededReannotationDiffTest, PartialEqualsFullEqualsOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SeededReannotationDiffTest,
                          ::testing::Range<uint64_t>(1, 9));
+
+// Minimized repros of `xmlac_fuzz --mode reannotate --updates 6` failures,
+// pinned so the partial re-annotation they broke stays equal to the full
+// one (and to the oracle) on every backend.
+tst::Instance Repro(const char* dtd, const char* doc, const char* policy,
+                    BatchOp update) {
+  tst::Instance instance;
+  instance.dtd_text = dtd;
+  auto parsed_dtd = xml::ParseDtd(dtd);
+  auto parsed_doc = xml::ParseDocument(doc);
+  auto parsed_policy = policy::ParsePolicy(policy);
+  EXPECT_TRUE(parsed_dtd.ok() && parsed_doc.ok() && parsed_policy.ok());
+  instance.dtd = std::move(*parsed_dtd);
+  instance.doc = std::move(*parsed_doc);
+  instance.policy = std::move(*parsed_policy);
+  instance.updates.push_back(std::move(update));
+  return instance;
+}
+
+// Seed 9: `deny /e0//e3` and `allow //e0/e3` overlap on e3 without either
+// containing the other.  The delete triggers only the allow rule; unless
+// the dependency graph links the two, the deny is left out and e3 flips to
+// '+'.
+TEST(ReannotationReproTest, OverlappingOppositeRulesStayDependent) {
+  tst::Instance instance =
+      Repro("<!ELEMENT e0 (e1*, e3*)>\n"
+            "<!ELEMENT e1 (e2*, e4*, e5*, e6*)>\n"
+            "<!ELEMENT e2 (#PCDATA)>\n<!ELEMENT e3 (#PCDATA)>\n"
+            "<!ELEMENT e4 (#PCDATA)>\n<!ELEMENT e5 (#PCDATA)>\n"
+            "<!ELEMENT e6 (#PCDATA)>\n",
+            "<e0><e3>x</e3></e0>",
+            "default deny\nconflict deny\ndeny /e0//e3\nallow //e0/e3\n",
+            BatchOp::Delete("/e2//e5/e0"));
+  EXPECT_EQ(tst::CheckReannotation(instance), "");
+}
+
+// Seed 41: the insert's paths (//e3, //e3/e6) neither contain nor are
+// contained by any expansion of `allow /*//*`, but they overlap; unless
+// Trigger fires on overlap, the new e6 keeps the default '-'.
+TEST(ReannotationReproTest, InsertOverlappingRuleScopeTriggers) {
+  tst::Instance instance =
+      Repro("<!ELEMENT e0 (e1*, e4*, e5*)>\n<!ELEMENT e1 (e2*, e3*, e6*)>\n"
+            "<!ELEMENT e2 (e3*)>\n<!ELEMENT e3 (e6*)>\n"
+            "<!ELEMENT e4 (#PCDATA)>\n<!ELEMENT e5 (#PCDATA)>\n"
+            "<!ELEMENT e6 (#PCDATA)>\n",
+            "<e0><e1><e3/></e1></e0>",
+            "default deny\nconflict deny\nallow /*//*\n",
+            BatchOp::Insert("//e3", "<e6>v1</e6>"));
+  EXPECT_EQ(tst::CheckReannotation(instance), "");
+}
 
 struct Config {
   uint64_t seed;

@@ -290,6 +290,70 @@ TEST(ServeTest, MismatchedSnapshotIndexIsAnInternalError) {
   EXPECT_EQ(metrics.Snapshot().counters.at("serve.read.index_stale"), 1u);
 }
 
+// The fleet keeps one store for all of its subjects: one factory call per
+// Load, one index publish per ApplyBatch, and one IndexVersion shared by
+// every view of a snapshot.  No evaluation on the way falls back from the
+// structural engine to the naive one.
+TEST(ServeTest, FleetSharesOneStoreAndOneIndex) {
+  auto dtd = workload::HospitalGenerator::ParseHospitalDtd();
+  ASSERT_TRUE(dtd.ok()) << dtd.status();
+  int factory_calls = 0;
+  engine::MultiSubjectController fleet([&factory_calls] {
+    ++factory_calls;
+    return std::make_unique<engine::NativeXmlBackend>();
+  });
+  obs::MetricsRegistry metrics;
+  obs::ScopedObsContext obs_ctx(&metrics, nullptr);
+  ASSERT_TRUE(fleet.LoadParsed(*dtd, SmallHospital()).ok());
+  constexpr size_t kSubjects = 8;
+  for (size_t i = 0; i < kSubjects; ++i) {
+    const auto& s =
+        workload::kHospitalSubjects[i % workload::kHospitalSubjectCount];
+    ASSERT_TRUE(
+        fleet.AddSubject(s.subject + std::to_string(i), s.policy_text).ok());
+  }
+  EXPECT_EQ(factory_calls, 1);
+
+  auto publishes = [&metrics] {
+    return metrics.Snapshot()
+        .histograms["xpath.structural.version_publish_us"]
+        .count;
+  };
+  for (const char* psn : {"000", "001", "002"}) {
+    const uint64_t before = publishes();
+    auto stats = fleet.ApplyBatch({engine::BatchOp::Delete(
+        std::string("//patient[psn=\"") + psn + "\"]")});
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(stats->size(), kSubjects);
+    EXPECT_EQ(stats->begin()->second.nodes_deleted,
+              stats->rbegin()->second.nodes_deleted);
+    EXPECT_EQ(publishes(), before + 1) << psn;
+  }
+  EXPECT_EQ(factory_calls, 1);
+
+  auto snapshot = BuildSnapshot(fleet, 4);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  ASSERT_EQ((*snapshot)->subjects.size(), kSubjects);
+  const xpath::IndexVersion* shared =
+      fleet.native_store()->CurrentIndexVersion().get();
+  ASSERT_NE(shared, nullptr);
+  auto query = xpath::ParsePath("//patient/name");
+  ASSERT_TRUE(query.ok());
+  for (const auto& [name, view] : (*snapshot)->subjects) {
+    EXPECT_EQ(view.index.get(), shared) << name;
+    auto served = QuerySnapshot(**snapshot, name, *query);
+    ASSERT_TRUE(served.ok()) << served.status();
+    auto direct = fleet.Query(name, "//patient/name");
+    EXPECT_EQ(served->granted, direct.ok()) << name;
+    EXPECT_EQ(fleet.subject(name)
+                  ->SnapshotMetrics()
+                  .counters["xpath.structural.fallbacks"],
+              0u)
+        << name;
+  }
+  EXPECT_EQ(metrics.Snapshot().counters["xpath.structural.fallbacks"], 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Observability propagation (satellite: thread-local sinks on pool threads)
 
@@ -320,10 +384,13 @@ TEST(ServeTest, WorkerThreadsReportIntoServerRegistry) {
   ASSERT_TRUE(m.histograms.count("serve.batch.size"));
 
   // Per-subject engine registries keep working too (annotator.* flows into
-  // the replica's own registry, not the server's).
+  // the subject's own registry, not the server's).
   auto subject_metrics = server->SubjectMetrics("doctor");
   ASSERT_TRUE(subject_metrics.ok());
   EXPECT_GT(subject_metrics->counters["annotator.reannotations"], 0u);
+  // Every evaluation, before and after the update, found its index.
+  EXPECT_EQ(m.counters["xpath.structural.fallbacks"], 0u);
+  EXPECT_EQ(subject_metrics->counters["xpath.structural.fallbacks"], 0u);
   EXPECT_FALSE(server->SubjectMetrics("intruder").ok());
 }
 

@@ -25,7 +25,6 @@
 #include "tests/testdata.h"
 #include "xml/dtd.h"
 #include "xml/parser.h"
-#include "xml/serializer.h"
 
 namespace xmlac::storage {
 namespace {
@@ -526,18 +525,6 @@ engine::MultiSubjectController MakeController() {
       [] { return std::make_unique<engine::NativeXmlBackend>(); });
 }
 
-// Serialized annotation state of one subject: default sign + replica tree
-// with sign attributes.
-std::string SubjectString(engine::MultiSubjectController* controller,
-                          std::string_view name) {
-  auto* ac = controller->subject(name);
-  EXPECT_NE(ac, nullptr);
-  auto* native = dynamic_cast<engine::NativeXmlBackend*>(ac->backend());
-  EXPECT_NE(native, nullptr);
-  return std::string(1, native->default_sign()) + "\n" +
-         xml::Serialize(native->document());
-}
-
 struct DurableRun {
   std::string dir;
   xml::Dtd dtd;
@@ -644,13 +631,7 @@ TEST(RecoveryTest, ReplayedStateMatchesLiveState) {
   EXPECT_EQ(state->dtd_text, xml::DtdToString(run.dtd));
   ASSERT_EQ(state->subject_policies.size(), 2u);
 
-  EXPECT_EQ(xml::Serialize(recovered.document()),
-            xml::Serialize(live.document()));
-  EXPECT_EQ(recovered.document().version(), live.document().version());
-  for (const auto& [name, policy] : run.subjects) {
-    EXPECT_EQ(SubjectString(&recovered, name), SubjectString(&live, name))
-        << name;
-  }
+  EXPECT_EQ(engine::DiffFleetState(recovered, live), "");
   std::filesystem::remove_all(run.dir);
 }
 
@@ -690,11 +671,7 @@ TEST(RecoveryTest, ReplayFromCheckpointSkipsCoveredBatches) {
   EXPECT_TRUE(state->from_checkpoint);
   EXPECT_EQ(state->epoch, 3u);
   EXPECT_EQ(state->replayed_batches, 0u);
-  EXPECT_EQ(xml::Serialize(recovered.document()),
-            xml::Serialize(live.document()));
-  for (const auto& [name, policy] : run.subjects) {
-    EXPECT_EQ(SubjectString(&recovered, name), SubjectString(&live, name));
-  }
+  EXPECT_EQ(engine::DiffFleetState(recovered, live), "");
   std::filesystem::remove_all(run.dir);
 }
 

@@ -13,8 +13,8 @@
 //       Recover the directory through the production decision-replay path,
 //       then independently re-annotate the recovered document from the
 //       recovered policy texts (full static annotation, the expensive path
-//       recovery exists to avoid) and require byte-identical per-subject
-//       replicas.  This cross-checks the WAL's recorded sign deltas
+//       recovery exists to avoid) and require an identical document and
+//       identical per-subject signs (engine::DiffFleetState).  This cross-checks the WAL's recorded sign deltas
 //       against what policy evaluation would decide from scratch.
 //
 //   xmlac_recover --replay DIR [--out-xml FILE]
@@ -91,16 +91,6 @@ int Inspect(const std::string& dir) {
   return s.stopped_early ? 1 : 0;
 }
 
-// Serialization of one subject's full annotated state: default sign plus
-// the replica tree with its sign attributes.
-Result<std::string> SubjectStateString(xmlac::engine::AccessController* ac) {
-  auto* native =
-      dynamic_cast<xmlac::engine::NativeXmlBackend*>(ac->backend());
-  if (native == nullptr) return Status::Internal("non-native backend");
-  return std::string(1, native->default_sign()) + "\n" +
-         xmlac::xml::Serialize(native->document());
-}
-
 int Verify(const std::string& dir) {
   xmlac::engine::MultiSubjectController recovered = MakeController();
   Result<xmlac::storage::RecoveredState> state =
@@ -131,7 +121,6 @@ int Verify(const std::string& dir) {
                  loaded.ToString().c_str());
     return 1;
   }
-  size_t mismatches = 0;
   for (const auto& [name, policy_text] : state->subject_policies) {
     Status added = reference.AddSubject(name, policy_text);
     if (!added.ok()) {
@@ -139,28 +128,23 @@ int Verify(const std::string& dir) {
                    name.c_str(), added.ToString().c_str());
       return 1;
     }
-    Result<std::string> got = SubjectStateString(recovered.subject(name));
-    Result<std::string> want = SubjectStateString(reference.subject(name));
-    if (!got.ok() || !want.ok()) {
-      std::fprintf(stderr, "subject %s state serialization failed\n",
-                   name.c_str());
-      return 1;
-    }
-    if (*got != *want) {
-      ++mismatches;
-      std::fprintf(stderr,
-                   "MISMATCH subject %s: replayed annotations differ from "
-                   "full re-annotation\n",
-                   name.c_str());
-    }
+  }
+  const std::string diff =
+      xmlac::engine::DiffFleetState(recovered, reference);
+  if (!diff.empty()) {
+    std::fprintf(stderr,
+                 "MISMATCH: replayed state differs from full "
+                 "re-annotation: %s\n",
+                 diff.c_str());
   }
   std::printf("verify %s: epoch %llu, %zu batches replayed %s, %zu subjects, "
-              "%zu mismatches\n",
+              "%s\n",
               dir.c_str(), static_cast<unsigned long long>(state->epoch),
               state->replayed_batches,
               state->from_checkpoint ? "from checkpoint" : "from genesis",
-              state->subject_policies.size(), mismatches);
-  return mismatches == 0 ? 0 : 1;
+              state->subject_policies.size(),
+              diff.empty() ? "no mismatch" : "MISMATCH");
+  return diff.empty() ? 0 : 1;
 }
 
 int Replay(const std::string& dir, const std::string& out_xml) {
