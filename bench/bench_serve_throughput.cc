@@ -465,7 +465,8 @@ int RunWalOverheadGate(const std::string& json_path, double max_overhead) {
 // `max_sync_pause_us` — the worst single index acquisition a reader paid,
 // from the `serve.read.index_acquire_us` histogram's exact max — is the
 // headline figure BENCH_epoch.json reports: with the mutex design this was
-// the index rebuild a reader could absorb; now it is two atomic loads.
+// the index rebuild a reader could absorb; now it is a shared_ptr the
+// snapshot already holds.
 
 struct MixedRunStats {
   double read_p50_us = 0;
@@ -475,8 +476,6 @@ struct MixedRunStats {
   uint64_t writes = 0;
   uint64_t max_sync_pause_us = 0;  // serve.read.index_acquire_us max
   uint64_t index_stale_reads = 0;  // serve.read.index_stale
-  uint64_t epoch_advances = 0;
-  uint64_t epoch_reclaimed = 0;
 };
 
 double VectorPercentile(std::vector<double>* v, double p) {
@@ -573,14 +572,6 @@ MixedRunStats MeasureMixedLoad(bool snapshot_index, double write_fraction,
   if (acquire != metrics.histograms.end()) {
     stats.max_sync_pause_us = acquire->second.max;
   }
-  auto advances = metrics.counters.find("epoch.advances");
-  if (advances != metrics.counters.end()) {
-    stats.epoch_advances = advances->second;
-  }
-  auto reclaimed = metrics.counters.find("epoch.reclaimed");
-  if (reclaimed != metrics.counters.end()) {
-    stats.epoch_reclaimed = reclaimed->second;
-  }
   server->Stop();
   return stats;
 }
@@ -613,13 +604,9 @@ int RunEpochGate(const std::string& json_path, double write_fraction,
   }
   uint64_t stale_total = 0;
   uint64_t max_sync_pause = 0;
-  uint64_t advances_total = 0;
-  uint64_t reclaimed_total = 0;
   for (const MixedRunStats& round : epoch_rounds) {
     stale_total += round.index_stale_reads;
     max_sync_pause = std::max(max_sync_pause, round.max_sync_pause_us);
-    advances_total += round.epoch_advances;
-    reclaimed_total += round.epoch_reclaimed;
   }
   double p99_ratio = baseline->read_p99_us > 0
                          ? epoch->read_p99_us / baseline->read_p99_us
@@ -646,8 +633,6 @@ int RunEpochGate(const std::string& json_path, double write_fraction,
       "  \"max_p99_regression\": %.4f,\n"
       "  \"max_sync_pause_us\": %llu,\n"
       "  \"index_stale_reads\": %llu,\n"
-      "  \"epoch_advances\": %llu,\n"
-      "  \"epoch_reclaimed\": %llu,\n"
       "  \"pass\": %s\n"
       "}\n",
       kRounds, write_fraction,
@@ -657,8 +642,6 @@ int RunEpochGate(const std::string& json_path, double write_fraction,
       epoch->read_p50_us, epoch->read_p99_us, epoch->read_rps, p99_ratio,
       max_p99_regression, static_cast<unsigned long long>(max_sync_pause),
       static_cast<unsigned long long>(stale_total),
-      static_cast<unsigned long long>(advances_total),
-      static_cast<unsigned long long>(reclaimed_total),
       pass ? "true" : "false");
   std::printf("%s", buf);
   if (!json_path.empty()) {

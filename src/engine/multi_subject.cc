@@ -334,13 +334,6 @@ Result<std::map<std::string, BatchStats>> MultiSubjectController::ReplayBatch(
   return StatsByName(subjects_, std::move(stats));
 }
 
-void MultiSubjectController::RestoreStructuralLabels(
-    const std::vector<xpath::IntervalLabel>& labels) {
-  if (auto* native = dynamic_cast<NativeXmlBackend*>(store_.get())) {
-    native->RestoreStructuralLabels(labels);
-  }
-}
-
 std::string DiffFleetState(const MultiSubjectController& a,
                            const MultiSubjectController& b) {
   if (a.native_store() == nullptr || b.native_store() == nullptr) {

@@ -132,10 +132,6 @@ class MultiSubjectController {
     rule_cache_.RestoreEpoch(epoch);
   }
 
-  // Installs checkpointed interval labels into the native store's
-  // structural index (no-op for other stores).
-  void RestoreStructuralLabels(const std::vector<xpath::IntervalLabel>& labels);
-
   // The containment cache shared by every subject's optimizer and trigger
   // index (redundancy tests recur across subjects — same document, similar
   // rule vocabularies — so one memo table beats per-subject copies).

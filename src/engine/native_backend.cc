@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/epoch.h"
 #include "common/io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,9 +47,9 @@ xpath::EvaluatorOptions NativeXmlBackend::EvalOptions() const {
   xpath::EvaluatorOptions options;
   options.shard = shard_;
   if (!use_structural_index_) return options;
-  // One atomic load: the writer published a fresh version before its
-  // mutating call returned, so this is never stale in steady state, and a
-  // reader never syncs, rebuilds, or waits here.
+  // The writer published a fresh version before its mutating call
+  // returned, so this is never stale in steady state, and a reader never
+  // syncs, rebuilds, or waits here.
   options.use_structural_index = true;
   options.index = structural_index_.current();
   return options;
@@ -84,11 +83,6 @@ size_t NativeXmlBackend::NodeCount() const {
 Result<std::vector<UniversalId>> NativeXmlBackend::EvaluateQuery(
     const xpath::Path& query) {
   if (!loaded_) return Status::Internal("backend not loaded");
-  // Readers pin an epoch for the whole traversal so a concurrent publisher
-  // retiring the version they loaded cannot reclaim it under them.
-  static thread_local obs::CounterHandle pins("epoch.pins");
-  pins.Increment();
-  EpochGuard guard(EpochManager::Global());
   return ToIds(xpath::Evaluate(query, doc_, EvalOptions()));
 }
 
@@ -199,10 +193,16 @@ Result<char> NativeXmlBackend::GetSign(UniversalId id) {
 Result<size_t> NativeXmlBackend::DeleteWhere(const xpath::Path& u) {
   if (!loaded_) return Status::Internal("backend not loaded");
   std::vector<xml::NodeId> victims = xpath::Evaluate(u, doc_, EvalOptions());
-  size_t before = NodeCount();
-  for (xml::NodeId n : victims) doc_.DeleteSubtree(n);
+  size_t deleted = 0;
+  for (xml::NodeId n : victims) {
+    // A victim nested in an earlier one is already dead: Visit skips it.
+    doc_.Visit(n, [&](xml::NodeId id) {
+      if (doc_.node(id).kind == xml::NodeKind::kElement) ++deleted;
+    });
+    doc_.DeleteSubtree(n);
+  }
   PublishIndex();
-  return before - NodeCount();
+  return deleted;
 }
 
 Result<xmldb::XqValue> NativeXmlBackend::RunXQuery(std::string_view query) {
@@ -210,9 +210,6 @@ Result<xmldb::XqValue> NativeXmlBackend::RunXQuery(std::string_view query) {
   obs::ScopedSpan span("native.xquery");
   obs::ScopedTimer timer("native.xquery_us");
   obs::IncrementCounter("native.xquery_runs");
-  static thread_local obs::CounterHandle pins("epoch.pins");
-  pins.Increment();
-  EpochGuard guard(EpochManager::Global());
   xmldb::XQueryEngine engine;
   engine.RegisterDocument("xmlgen", &doc_, EvalOptions());
   return engine.Run(query);
@@ -243,13 +240,6 @@ Status NativeXmlBackend::LoadFromFile(std::string_view path) {
   non_default_signs_ = CountNonDefaultSigns();
   PublishIndex();
   return Status::OK();
-}
-
-void NativeXmlBackend::RestoreStructuralLabels(
-    std::vector<xpath::IntervalLabel> labels) {
-  // Recovery seeds version 0 from the checkpointed labels; subsequent
-  // publishes catch up incrementally from it.
-  structural_index_.RestoreLabels(std::move(labels));
 }
 
 xml::Document NativeXmlBackend::AccessibleView() const {

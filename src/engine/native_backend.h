@@ -63,9 +63,8 @@ class NativeXmlBackend final : public Backend {
   // Structural-index switch (on by default).  Queries route through the
   // stack-based structural-join engine over immutable published
   // IndexVersions (docs/concurrency.md): every mutating call on this
-  // backend publishes a fresh version before returning, and readers load
-  // it wait-free under an epoch pin — no lock, no lazy sync, no rebuild
-  // ever runs on a reader.  Off = the naive evaluator, which the
+  // backend publishes a fresh version before returning, so a query never
+  // syncs or rebuilds the index.  Off = the naive evaluator, which the
   // differential harness uses as the reference.
   void set_use_structural_index(bool on) {
     use_structural_index_ = on;
@@ -104,11 +103,6 @@ class NativeXmlBackend final : public Backend {
   Status SaveToFile(std::string_view path) const;
   Status LoadFromFile(std::string_view path);
 
-  // Adopts checkpointed interval labels as the structural index's seed
-  // version — recovery's replay-over-rebuild fast path; see RestoreLabels
-  // in xpath/structural_index.h.  Writer-side: must not race queries.
-  void RestoreStructuralLabels(std::vector<xpath::IntervalLabel> labels);
-
   // The security view (see the free AccessibleView below) of the annotated
   // document under its own signs.
   xml::Document AccessibleView() const;
@@ -123,8 +117,8 @@ class NativeXmlBackend final : public Backend {
 
   // Evaluator options for the current read: the structural engine with the
   // currently published IndexVersion when enabled, naive otherwise.  Pure
-  // loads — safe on parallel rule-cache-miss workers; callers that can
-  // race a publisher hold an epoch pin across the load and traversal.
+  // loads — safe on parallel rule-cache-miss workers, which the writer
+  // joins before its next mutation.
   xpath::EvaluatorOptions EvalOptions() const;
 
   // Publishes a fresh index version after a mutation (no-op when the

@@ -4,7 +4,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/epoch.h"
 #include "common/io.h"
 #include "common/parallel.h"
 #include "engine/native_backend.h"
@@ -14,7 +13,6 @@
 #include "xml/dtd.h"
 #include "xml/parser.h"
 #include "xpath/parser.h"
-#include "xpath/structural_index.h"
 
 namespace xmlac::serve {
 
@@ -307,12 +305,6 @@ ServerHealth Server::HealthSnapshot() {
   h.read_queue_watermark = read_queue_.watermark();
   h.write_queue_depth = write_queue_.size();
   h.write_queue_watermark = write_queue_.watermark();
-  EpochManager::Stats epoch_stats = EpochManager::Global().stats();
-  h.epoch_pins = epoch_stats.pins;
-  h.epoch_advances = epoch_stats.advances;
-  h.epoch_retired = epoch_stats.retired;
-  h.epoch_reclaimed = epoch_stats.reclaimed;
-  h.epoch_live_versions = epoch_stats.live;
   if (worker_ring_pool_ != nullptr) {
     h.worker_ring_pool_misses = worker_ring_pool_->misses();
   }
@@ -347,11 +339,6 @@ std::string HealthText(const ServerHealth& health) {
   os << "serve.health.read_queue.watermark " << health.read_queue_watermark
      << '\n';
   os << "serve.health.recorder_epoch " << health.recorder_epoch << '\n';
-  os << "epoch.pins " << health.epoch_pins << '\n';
-  os << "epoch.advances " << health.epoch_advances << '\n';
-  os << "epoch.retired " << health.epoch_retired << '\n';
-  os << "epoch.reclaimed " << health.epoch_reclaimed << '\n';
-  os << "epoch.live_versions " << health.epoch_live_versions << '\n';
   os << "serve.health.write_queue.depth " << health.write_queue_depth << '\n';
   os << "serve.health.write_queue.watermark " << health.write_queue_watermark
      << '\n';
@@ -642,7 +629,6 @@ Status Server::BuildAndWriteCheckpoint(CheckpointJob job) {
   data.epoch = job.epoch;
   data.rule_cache_epoch = job.rule_cache_epoch;
   data.dtd_text = dtd_text_;
-  data.labels = xpath::ComputeIntervalLabels(job.document);
   job.document.AppendBinary(&data.master_binary);
   for (auto& [name, signs] : job.subjects) {
     XMLAC_ASSIGN_OR_RETURN(storage::SubjectState s,

@@ -87,10 +87,11 @@ struct ServerOptions : engine::MultiSubjectOptions {
   // per-request re-annotation (the Cheney-style per-request enforcement
   // cost the batching exists to beat).
   size_t max_batch = 64;
-  // Embed each subject's published structural IndexVersion in every
-  // snapshot, so reads evaluate through the structural engine (the
-  // default).  False pins snapshot reads to the naive evaluator — the
-  // baseline side of bench_serve_throughput's epoch gate.
+  // Embed the shared store's published structural IndexVersion (one for
+  // all subjects' views) in every snapshot, so reads evaluate through the
+  // structural engine (the default).  False pins snapshot reads to the
+  // naive evaluator — the baseline side of bench_serve_throughput's epoch
+  // gate.
   bool snapshot_index = true;
   // Always-on flight recorder: each pool thread appends compact binary
   // events into a lock-free ring; a background drainer folds them into
@@ -144,15 +145,6 @@ struct ServerHealth {
   size_t read_queue_watermark = 0;
   size_t write_queue_depth = 0;
   size_t write_queue_watermark = 0;
-  // Global epoch-reclamation state (common/epoch.h): reader pins, epoch
-  // advances, and retired/reclaimed/live index versions.  live_versions
-  // counts retired-but-not-yet-reclaimed versions; it stays bounded as
-  // long as readers keep unpinning (docs/concurrency.md).
-  uint64_t epoch_pins = 0;
-  uint64_t epoch_advances = 0;
-  uint64_t epoch_retired = 0;
-  uint64_t epoch_reclaimed = 0;
-  uint64_t epoch_live_versions = 0;
   // Sharded ParallelFor workers that found every pooled recorder ring busy
   // and ran unrecorded (obs::WorkerRingPool::misses).
   uint64_t worker_ring_pool_misses = 0;

@@ -30,9 +30,9 @@ Result<engine::RequestOutcome> QuerySnapshot(const Snapshot& snapshot,
   obs::ScopedTimer timer("serve.request.eval_us");
   const SubjectView& view = it->second;
   const xml::Document& doc = *view.doc;
-  // The index-acquire step is the entirety of what a reader "syncs": two
-  // loads and a version check.  Timed so the bench's max-sync-pause figure
-  // is measured, not asserted.
+  // The index-acquire step is the entirety of what a reader "syncs": a
+  // version check on the index the snapshot already owns.  Timed so the
+  // bench's max-sync-pause figure is measured, not asserted.
   xpath::EvaluatorOptions options;
   if (view.index != nullptr) {
     obs::ScopedTimer acquire("serve.read.index_acquire_us");

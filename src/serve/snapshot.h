@@ -32,10 +32,10 @@ namespace xmlac::serve {
 // was built — the same immutable version the writer's own queries used,
 // and the same pointer in every view of the snapshot — so a snapshot read
 // always sees a matching tree+signs+index triple and evaluates through the
-// structural engine without pinning an epoch (the shared_ptr keeps the
-// version alive for the snapshot's lifetime).  Null when the snapshot was
-// built without indexes (ServerOptions::snapshot_index false); reads then
-// use the naive evaluator.
+// structural engine (the shared_ptr keeps the version alive for the
+// snapshot's lifetime).  Null when the snapshot was built without indexes
+// (ServerOptions::snapshot_index false); reads then use the naive
+// evaluator.
 struct SubjectView {
   std::shared_ptr<const xml::Document> doc;
   std::shared_ptr<const xpath::IndexVersion> index;

@@ -13,7 +13,7 @@ namespace xmlac::storage {
 namespace {
 
 constexpr char kMagic[4] = {'X', 'C', 'K', 'P'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 constexpr char kPrefix[] = "checkpoint-";
 constexpr char kSuffix[] = ".ckpt";
 constexpr size_t kEpochDigits = 12;
@@ -81,12 +81,6 @@ std::string EncodeCheckpoint(const CheckpointData& data) {
   PutU64(&body, data.rule_cache_epoch);
   PutString(&body, data.dtd_text);
   PutString(&body, data.master_binary);
-  PutU32(&body, static_cast<uint32_t>(data.labels.size()));
-  for (const xpath::IntervalLabel& label : data.labels) {
-    PutU64(&body, label.start);
-    PutU64(&body, label.end);
-    PutU32(&body, label.level);
-  }
   PutU32(&body, static_cast<uint32_t>(data.subjects.size()));
   for (const SubjectState& s : data.subjects) PutSubject(&body, s);
 
@@ -120,18 +114,6 @@ Result<CheckpointData> DecodeCheckpoint(std::string_view bytes) {
   data.rule_cache_epoch = cursor.GetU64();
   data.dtd_text = cursor.GetString();
   data.master_binary = cursor.GetString();
-  uint32_t nlabels = cursor.GetU32();
-  if (!cursor.Need(static_cast<size_t>(nlabels) * 20)) {
-    return Status::ParseError("truncated checkpoint labels");
-  }
-  data.labels.reserve(nlabels);
-  for (uint32_t i = 0; i < nlabels; ++i) {
-    xpath::IntervalLabel label;
-    label.start = cursor.GetU64();
-    label.end = cursor.GetU64();
-    label.level = cursor.GetU32();
-    data.labels.push_back(label);
-  }
   uint32_t nsubjects = cursor.GetU32();
   for (uint32_t i = 0; i < nsubjects && cursor.ok; ++i) {
     SubjectState s;

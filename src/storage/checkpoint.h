@@ -19,7 +19,6 @@
 
 #include "common/status.h"
 #include "storage/wal.h"
-#include "xpath/structural_index.h"
 
 namespace xmlac::storage {
 
@@ -28,10 +27,6 @@ struct CheckpointData {
   uint64_t rule_cache_epoch = 0;
   std::string dtd_text;
   std::string master_binary;  // un-annotated master, NodeIds preserved
-  // Interval labels of the master at checkpoint time; recovery installs
-  // them so the structural index catches up incrementally instead of
-  // rebuilding from scratch.
-  std::vector<xpath::IntervalLabel> labels;
   std::vector<SubjectState> subjects;
 };
 

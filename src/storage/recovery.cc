@@ -90,23 +90,22 @@ Result<RecoveredState> RecoverState(
     base.dtd_text = install->install.dtd_text;
     base.master_binary = install->install.master_binary;
     base.subjects = install->install.subjects;
-    // No labels in the install record: the structural index lazily
-    // rebuilds on first query instead.
   }
 
   controller->Reset();
   XMLAC_ASSIGN_OR_RETURN(xml::Dtd dtd, xml::ParseDtd(base.dtd_text));
   XMLAC_ASSIGN_OR_RETURN(xml::Document master,
                          xml::Document::FromBinary(base.master_binary));
+  // LoadParsed publishes the structural index over the recovered document.
+  // FromBinary restores the arena byte for byte and labeling is
+  // deterministic, so that build equals the index a checkpoint-time
+  // labeling would have produced; no labels are stored.
   XMLAC_RETURN_IF_ERROR(controller->LoadParsed(dtd, master));
   controller->RestoreRuleCacheEpoch(base.rule_cache_epoch);
   for (const SubjectState& s : base.subjects) {
     XMLAC_RETURN_IF_ERROR(controller->RestoreSubject(
         s.name, s.policy_text, s.default_sign, s.marked));
     out.subject_policies.emplace_back(s.name, s.policy_text);
-  }
-  if (!base.labels.empty()) {
-    controller->RestoreStructuralLabels(base.labels);
   }
 
   // Replay committed batches past the base epoch, in order.  Epochs are

@@ -129,7 +129,8 @@ ServeFuzzResult RunServeFuzz(const ServeFuzzOptions& options) {
           // Torn read: hold the snapshot across a publication.  Stall until
           // the writer moves past the captured epoch (or runs out of
           // updates), THEN traverse the captured documents and index
-          // versions — the worst-case interleaving for epoch reclamation.
+          // versions — the worst case for version lifetime: only the
+          // snapshot's shared_ptrs still own them.
           serve::SnapshotPtr snap = server.CurrentSnapshot();
           while (server.epoch() == snap->epoch &&
                  !updates_done.load(std::memory_order_acquire)) {

@@ -16,7 +16,7 @@ class IndexVersion;
 // differential oracle checks against); setting `use_structural_index` with
 // a published index version routes evaluation through the structural-join
 // engine in structural_eval.h.  `index` is an immutable IndexVersion the
-// caller loaded under an epoch pin (or owns via shared_ptr — see
+// writer read from its publisher or the caller owns via shared_ptr (see
 // structural_index.h); the caller guarantees it was built for `doc`'s
 // lineage.  If the version is missing or doesn't match the queried
 // document, evaluation falls back to the naive path — the switch can never

@@ -37,9 +37,9 @@ namespace xmlac::xpath {
 
 // `index` must be a version matching `doc` (IndexVersion::Matches); prefer
 // the dispatching Evaluate(path, doc, options) overload, which checks and
-// falls back to the naive engine.  The version is immutable: callers racing
-// a publisher hold it under an epoch pin or by shared ownership
-// (structural_index.h), and traversal itself is lock-free.
+// falls back to the naive engine.  The version is immutable: callers off
+// the writer thread hold it by shared ownership (structural_index.h), and
+// traversal itself is lock-free.
 std::vector<xml::NodeId> EvaluateStructural(const Path& path,
                                             const xml::Document& doc,
                                             const IndexVersion& index);

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/epoch.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
 
@@ -223,19 +222,6 @@ const IndexVersion::Stream* IndexVersion::ValueMatches(
 
 // ----- StructuralIndex (publisher) ---------------------------------------
 
-StructuralIndex::~StructuralIndex() {
-  // Hand the last version to the epoch GC instead of freeing inline: a
-  // reader pinned before this destructor ran may still be traversing it.
-  std::shared_ptr<const IndexVersion> old = std::move(head_);
-  current_.store(nullptr, std::memory_order_seq_cst);
-  if (old != nullptr) {
-    EpochManager& mgr = EpochManager::Global();
-    mgr.Advance();
-    mgr.Retire(std::move(old));
-    mgr.Collect();
-  }
-}
-
 const IndexVersion::Stream& StructuralIndex::TagStream(
     std::string_view tag) const {
   const IndexVersion* v = current();
@@ -245,46 +231,6 @@ const IndexVersion::Stream& StructuralIndex::TagStream(
 const IndexVersion::Stream& StructuralIndex::ElementStream() const {
   const IndexVersion* v = current();
   return v == nullptr ? kEmptyStream : v->ElementStream();
-}
-
-void StructuralIndex::Invalidate() {
-  std::shared_ptr<const IndexVersion> old = std::move(head_);
-  current_.store(nullptr, std::memory_order_seq_cst);
-  if (old != nullptr) {
-    EpochManager& mgr = EpochManager::Global();
-    mgr.Advance();
-    mgr.Retire(std::move(old));
-    mgr.Collect();
-  }
-}
-
-void StructuralIndex::RestoreLabels(std::vector<IntervalLabel> labels) {
-  auto next = std::shared_ptr<IndexVersion>(new IndexVersion());
-  next->doc_version_ = doc_->version();
-  labels.resize(doc_->size());
-  auto elements = std::make_shared<IndexVersion::Stream>();
-  for (NodeId id = 0; id < doc_->size(); ++id) {
-    if (!doc_->IsAlive(id)) continue;
-    const xml::Node& n = doc_->node(id);
-    if (n.kind != NodeKind::kElement || labels[id].end == 0) continue;
-    elements->push_back(id);
-  }
-  std::sort(elements->begin(), elements->end(), [&](NodeId a, NodeId b) {
-    return labels[a].start < labels[b].start;
-  });
-  std::unordered_map<std::string, IndexVersion::Stream> tags;
-  for (NodeId id : *elements) {
-    tags[doc_->node(id).label].push_back(id);
-  }
-  next->labels_ =
-      std::make_shared<const IndexVersion::Labels>(std::move(labels));
-  next->element_stream_ = std::move(elements);
-  for (auto& [tag, ids] : tags) {
-    next->tag_streams_.emplace(
-        tag, std::make_shared<const IndexVersion::Stream>(std::move(ids)));
-  }
-  next->InitValueSlots();
-  Install(std::move(next));
 }
 
 std::shared_ptr<IndexVersion> StructuralIndex::BuildFull() {
@@ -531,27 +477,7 @@ void StructuralIndex::Publish() {
   } else {
     next = BuildFull();
   }
-  Install(std::move(next));
-}
-
-void StructuralIndex::Install(std::shared_ptr<const IndexVersion> next) {
-  std::shared_ptr<const IndexVersion> old = std::move(head_);
   head_ = std::move(next);
-  // Publication point: one atomic store, then the epoch advance.  The
-  // seq_cst ordering (store before fetch_add) is what lets the GC free a
-  // retiree once every pinned epoch is >= its stamp — see common/epoch.h.
-  current_.store(head_.get(), std::memory_order_seq_cst);
-  EpochManager& mgr = EpochManager::Global();
-  mgr.Advance();
-  obs::IncrementCounter("epoch.advances");
-  if (old != nullptr) {
-    mgr.Retire(std::move(old));
-    obs::IncrementCounter("epoch.retired");
-  }
-  size_t reclaimed = mgr.Collect();
-  if (reclaimed > 0) obs::IncrementCounter("epoch.reclaimed", reclaimed);
-  obs::SetGauge("epoch.live_versions",
-                static_cast<int64_t>(mgr.stats().live));
 }
 
 }  // namespace xmlac::xpath

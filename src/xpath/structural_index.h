@@ -2,8 +2,8 @@
 #define XMLAC_XPATH_STRUCTURAL_INDEX_H_
 
 // Multi-version structural index: interval labels + tag streams + a
-// per-tag value index, published as immutable versions with epoch-based
-// reclamation (docs/concurrency.md).
+// per-tag value index, published as immutable, shared-owned versions
+// (docs/concurrency.md).
 //
 // Every alive element gets an interval label (start, end, level) from one
 // pre/post-order pass; `d` is a descendant of `a` iff
@@ -21,21 +21,20 @@
 // (Document keeps tombstones); when too many tombstones accumulate the next
 // Publish() compacts by rebuilding.
 //
-// Concurrency model (the Bw-tree-style MVCC scheme from common/epoch.h):
+// Concurrency model (single writer, shared ownership):
 //
 //   * IndexVersion is deeply immutable.  The writer catches up through the
-//     document's mutation journal *off the read path* and publishes a new
-//     version with one atomic pointer store; unchanged parts — the label
-//     vector, the "*" element stream, and every untouched per-tag stream
-//     and value-bucket map — are shared with the prior version by
-//     refcounted pointers (delete-only batches share everything).
-//   * Readers pin an epoch (EpochGuard on EpochManager::Global()), load
-//     current(), and traverse wait-free: no locks, no lazy sync, no
-//     rebuild can ever run on a reader.  Long-lived holders (serve
-//     snapshots) take CurrentShared() on the writer thread instead of
-//     pinning for the snapshot's lifetime.
-//   * The displaced version is Retire()d to the global epoch manager and
-//     reclaimed only once no reader pins an older epoch.
+//     document's mutation journal and publishes a new version by replacing
+//     its head pointer; unchanged parts — the label vector, the "*" element
+//     stream, and every untouched per-tag stream and value-bucket map — are
+//     shared with the prior version by refcounted pointers (delete-only
+//     batches share everything).
+//   * current() is writer-side: the writer itself, or a fan-out the writer
+//     joins before its next mutation, reads through it.  No rebuild ever
+//     runs outside Publish().
+//   * Holders off the writer thread (serve snapshots) take CurrentShared()
+//     on the writer thread.  A version lives exactly as long as the head
+//     pointer or some holder's shared_ptr owns it.
 //
 // Versions stamp themselves with Document::version(); the writer's catch-up
 // replays the journal:
@@ -91,14 +90,15 @@ std::vector<IntervalLabel> ComputeIntervalLabels(const xml::Document& doc,
 bool AllocateChildInterval(uint64_t parent_start, uint64_t parent_end,
                            uint64_t anchor, uint64_t* start, uint64_t* end);
 
-// One immutable published state of the index.  Readers hold it either
-// under an epoch pin (raw pointer from StructuralIndex::current()) or by
-// shared ownership (serve snapshots); either way every accessor below is
-// lock-free and safe against concurrent publication of newer versions.
+// One immutable published state of the index.  The writer reads it through
+// StructuralIndex::current(); other threads hold it by shared ownership
+// (serve snapshots).  Every accessor below is lock-free and safe against
+// the publication of newer versions.
 //
 // A version is document-object independent: it matches any Document whose
 // version counter and slot count agree (clones preserve both), so one
-// version built on a serve master serves all its snapshot clones.
+// version built on the fleet's shared store serves all its snapshot
+// clones.
 class IndexVersion {
  public:
   using Stream = std::vector<xml::NodeId>;
@@ -176,11 +176,10 @@ class IndexVersion {
 };
 
 // The per-document publisher: owns the current IndexVersion and builds the
-// next one from the mutation journal.  All mutating calls (Publish,
-// Invalidate, RestoreLabels, set_shard_config) are writer-side and must be
-// externally serialized with document mutations — the engine's single
-// writer already guarantees this.  current() is the only member readers
-// touch, and it is a single atomic load.
+// next one from the mutation journal.  Every member is writer-side and must
+// be externally serialized with document mutations — the engine's single
+// writer already guarantees this.  A version outlives its publisher for as
+// long as a CurrentShared() holder keeps it.
 class StructuralIndex {
  public:
   // `doc` is not owned and must outlive the index.  The index starts
@@ -190,38 +189,26 @@ class StructuralIndex {
   StructuralIndex(const StructuralIndex&) = delete;
   StructuralIndex& operator=(const StructuralIndex&) = delete;
 
-  ~StructuralIndex();
-
-  // Writer side: builds and publishes a version for the document's current
-  // state (no-op when the published version is already current).  The
-  // displaced version is retired to EpochManager::Global() and reclaimed
-  // once no reader pins an older epoch.  Journal window misses force a
-  // full rebuild *here*, on the writer — a reader can never pay one.
+  // Builds and publishes a version for the document's current state (no-op
+  // when the published version is already current).  The displaced version
+  // is freed when its last shared_ptr holder lets go.  Journal window
+  // misses force a full rebuild *here*, on the writer — a reader can never
+  // pay one.
   void Publish();
 
-  // Drops the published version (retiring it); the next Publish() rebuilds
-  // from scratch.  Call after the backing document object is replaced
+  // Drops the published version; the next Publish() rebuilds from
+  // scratch.  Call after the backing document object is replaced
   // wholesale (its version counter restarts).
-  void Invalidate();
+  void Invalidate() { head_.reset(); }
 
-  // Adopts checkpointed labels as version 0: rebuilds the tag streams from
-  // them instead of relabeling and publishes at the document's current
-  // version.  This is recovery's fast path — subsequent Publish() calls
-  // catch up incrementally from these labels exactly as if the index had
-  // computed them itself.  `labels` must describe the backing document
-  // (size() slots, labels for its alive elements).
-  void RestoreLabels(std::vector<IntervalLabel> labels);
+  // The current version, or nullptr before the first Publish().  Writer
+  // side only: the pointer is valid until the next Publish() or
+  // Invalidate(), so a fan-out reading through it must be joined before
+  // the writer's next mutation.
+  const IndexVersion* current() const { return head_.get(); }
 
-  // Reader side: the current version, or nullptr before the first
-  // Publish().  Callers that can race Publish() must hold an epoch pin
-  // (EpochGuard on EpochManager::Global()) across the load *and* the whole
-  // traversal of the returned version.
-  const IndexVersion* current() const {
-    return current_.load(std::memory_order_acquire);
-  }
-
-  // Shared ownership of the current version for long-lived holders (serve
-  // snapshots).  Writer-thread only: must not race Publish().
+  // Shared ownership of the current version for holders that outlive the
+  // next Publish() (serve snapshots).  Writer-thread only.
   std::shared_ptr<const IndexVersion> CurrentShared() const { return head_; }
 
   // True when the published version reflects `doc`'s current content.
@@ -261,14 +248,9 @@ class StructuralIndex {
   // exhausted / unexpected shape) and the caller must BuildFull.
   std::shared_ptr<IndexVersion> BuildIncremental(
       const IndexVersion& parent, const std::vector<xml::Mutation>& mutations);
-  // Publication point: stores the pointer, advances the global epoch,
-  // retires the displaced version, runs a GC pass, updates obs gauges.
-  void Install(std::shared_ptr<const IndexVersion> next);
 
   const xml::Document* doc_;
-  // head_ owns what current_ points to; only the writer touches head_.
   std::shared_ptr<const IndexVersion> head_;
-  std::atomic<const IndexVersion*> current_{nullptr};
 
   uint64_t builds_ = 0;
   uint64_t incremental_updates_ = 0;

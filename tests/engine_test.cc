@@ -216,6 +216,21 @@ TEST_P(ControllerTest, UpdateReannotatesPatients) {
   EXPECT_EQ(after->ids.size(), 3u);
 }
 
+// A selector whose matches nest (patients > patient > treatment > regular)
+// counts each deleted element once: nested victims die with their ancestor.
+TEST_P(ControllerTest, NestedDeleteReportsBeforeAfterDifference) {
+  const char kSelector[] = "//dept//*[.//bill]";
+  auto victims = ac_->backend()->EvaluateQuery(*xpath::ParsePath(kSelector));
+  ASSERT_TRUE(victims.ok()) << victims.status();
+  ASSERT_EQ(victims->size(), 7u);
+  const size_t before = ac_->backend()->NodeCount();
+  auto stats = ac_->Update(kSelector);
+  ASSERT_TRUE(stats.ok()) << stats.status();
+  EXPECT_EQ(stats->nodes_deleted, before - ac_->backend()->NodeCount());
+  // patients + 3 x (patient, psn, name) + the two treatment subtrees (8).
+  EXPECT_EQ(stats->nodes_deleted, 18u);
+}
+
 // The observability layer must agree with itself and with the pipeline's
 // own statistics across a SetPolicy + Query + Update sequence.
 TEST_P(ControllerTest, MetricsPipelineConsistency) {

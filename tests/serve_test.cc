@@ -290,6 +290,63 @@ TEST(ServeTest, MismatchedSnapshotIndexIsAnInternalError) {
   EXPECT_EQ(metrics.Snapshot().counters.at("serve.read.index_stale"), 1u);
 }
 
+// A snapshot owns everything its reads touch: each view's document and the
+// one IndexVersion they share stay alive, unchanged, through later batches
+// and past the destruction of the controller that built them.
+TEST(ServeTest, SnapshotOutlivesLaterBatchesAndItsController) {
+  auto oracle = MakeOracle();
+  auto built = BuildSnapshot(*oracle, 1);
+  ASSERT_TRUE(built.ok()) << built.status();
+  SnapshotPtr snapshot = *built;
+  auto answers = [](const Snapshot& snap) {
+    std::vector<std::string> out;
+    for (const char* q : {"//patient", "//patient/name", "//bill",
+                          "//treatment//med", "//staff"}) {
+      auto query = xpath::ParsePath(q);
+      EXPECT_TRUE(query.ok()) << q;
+      for (const auto& [name, view] : snap.subjects) {
+        auto outcome = QuerySnapshot(snap, name, *query);
+        EXPECT_TRUE(outcome.ok()) << outcome.status();
+        std::string line = name + " " + q + " " +
+                           std::to_string(outcome->granted) + " " +
+                           std::to_string(outcome->selected) + " " +
+                           std::to_string(outcome->accessible);
+        for (engine::UniversalId id : outcome->ids) {
+          line += " " + std::to_string(id);
+        }
+        out.push_back(std::move(line));
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> at_build = answers(*snapshot);
+
+  for (const char* psn : {"000", "013"}) {
+    ASSERT_TRUE(oracle
+                    ->ApplyBatch({engine::BatchOp::Delete(
+                        std::string("//patient[psn=\"") + psn + "\"]")})
+                    .ok());
+  }
+  ASSERT_TRUE(oracle
+                  ->ApplyBatch({engine::BatchOp::Insert(
+                      "//patients",
+                      "<patient><psn>900</psn><name>new</name></patient>")})
+                  .ok());
+  auto live = BuildSnapshot(*oracle, 4);
+  ASSERT_TRUE(live.ok()) << live.status();
+  EXPECT_NE(answers(**live), at_build);
+  EXPECT_EQ(answers(*snapshot), at_build);
+
+  live->reset();
+  oracle.reset();
+  // Only the snapshot's views own the shared version now.
+  const SubjectView& first = snapshot->subjects.begin()->second;
+  ASSERT_NE(first.index, nullptr);
+  EXPECT_EQ(first.index.use_count(),
+            static_cast<long>(snapshot->subjects.size()));
+  EXPECT_EQ(answers(*snapshot), at_build);
+}
+
 // The fleet keeps one store for all of its subjects: one factory call per
 // Load, one index publish per ApplyBatch, and one IndexVersion shared by
 // every view of a snapshot.  No evaluation on the way falls back from the

@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -25,6 +27,7 @@
 #include "tests/testdata.h"
 #include "xml/dtd.h"
 #include "xml/parser.h"
+#include "xpath/structural_index.h"
 
 namespace xmlac::storage {
 namespace {
@@ -444,8 +447,6 @@ CheckpointData SampleCheckpoint(uint64_t epoch) {
   data.rule_cache_epoch = epoch + 1;
   data.dtd_text = "<!ELEMENT r (#PCDATA)>";
   data.master_binary = "binary-master-" + std::to_string(epoch);
-  data.labels.push_back(xpath::IntervalLabel{1, 100, 0});
-  data.labels.push_back(xpath::IntervalLabel{2, 50, 1});
   SubjectState subject;
   subject.name = "alice";
   subject.policy_text = "p";
@@ -462,10 +463,6 @@ TEST(CheckpointTest, EncodeDecodeRoundTrip) {
   EXPECT_EQ(decoded->epoch, 12u);
   EXPECT_EQ(decoded->rule_cache_epoch, 13u);
   EXPECT_EQ(decoded->master_binary, data.master_binary);
-  ASSERT_EQ(decoded->labels.size(), 2u);
-  EXPECT_EQ(decoded->labels[1].start, 2u);
-  EXPECT_EQ(decoded->labels[1].end, 50u);
-  EXPECT_EQ(decoded->labels[1].level, 1u);
   ASSERT_EQ(decoded->subjects.size(), 1u);
   EXPECT_EQ(decoded->subjects[0].marked,
             (std::vector<engine::UniversalId>{4, 9}));
@@ -482,6 +479,19 @@ TEST(CheckpointTest, DecodeRejectsCorruption) {
   }
   EXPECT_FALSE(DecodeCheckpoint(bytes.substr(0, bytes.size() - 3)).ok());
   EXPECT_FALSE(DecodeCheckpoint("").ok());
+}
+
+// Version-1 files carried interval labels; the current format rebuilds
+// them at load and refuses the old layout outright.
+TEST(CheckpointTest, FormatVersionOneIsRefused) {
+  std::string bytes = EncodeCheckpoint(SampleCheckpoint(3));
+  // Header: 4-byte magic, then the little-endian u32 format version.
+  ASSERT_EQ(bytes[4], 2);
+  bytes[4] = 1;
+  auto decoded = DecodeCheckpoint(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().message(),
+            "unsupported checkpoint format version 1");
 }
 
 TEST(CheckpointTest, NewestValidWinsAndCorruptFallsBack) {
@@ -608,6 +618,53 @@ void SetUpRun(const DurableRun& run,
   }
 }
 
+// The checkpoint a server would write for `controller`'s state at `epoch`.
+CheckpointData CaptureCheckpoint(engine::MultiSubjectController* controller,
+                                 const DurableRun& run, uint64_t epoch) {
+  CheckpointData data;
+  data.epoch = epoch;
+  data.rule_cache_epoch = controller->rule_cache().epoch();
+  data.dtd_text = xml::DtdToString(run.dtd);
+  controller->document().AppendBinary(&data.master_binary);
+  for (const auto& [name, policy] : run.subjects) {
+    auto* ac = controller->subject(name);
+    SubjectState subject;
+    subject.name = name;
+    subject.policy_text = policy;
+    subject.default_sign = ac->CurrentDefaultSign();
+    subject.marked = ac->ExportMarkedSigns();
+    data.subjects.push_back(std::move(subject));
+  }
+  return data;
+}
+
+// What a structural join reads from `version` over `doc`: each alive
+// element's level, the order of all label endpoints (which fixes nesting
+// and document order), and the alive entries of every tag stream.
+std::string IndexShape(const xpath::IndexVersion& version,
+                       const xml::Document& doc) {
+  std::string out;
+  std::vector<std::pair<uint64_t, std::string>> endpoints;
+  std::set<std::string> tags;
+  for (xml::NodeId id : doc.AllElements()) {
+    const xpath::IntervalLabel& label = version.label(id);
+    out += std::to_string(id) + "@" + std::to_string(label.level) + " ";
+    endpoints.emplace_back(label.start, "(" + std::to_string(id));
+    endpoints.emplace_back(label.end, std::to_string(id) + ")");
+    tags.insert(doc.node(id).label);
+  }
+  std::sort(endpoints.begin(), endpoints.end());
+  out += "\nlabels:";
+  for (const auto& endpoint : endpoints) out += " " + endpoint.second;
+  for (const std::string& tag : tags) {
+    out += "\n" + tag + ":";
+    for (xml::NodeId id : version.TagStream(tag)) {
+      if (doc.IsAlive(id)) out += " " + std::to_string(id);
+    }
+  }
+  return out;
+}
+
 TEST(RecoveryTest, ReplayedStateMatchesLiveState) {
   DurableRun run = HospitalRun("recover_e2e");
   engine::MultiSubjectController live = MakeController();
@@ -647,22 +704,7 @@ TEST(RecoveryTest, ReplayFromCheckpointSkipsCoveredBatches) {
 
   // Checkpoint the final state (epoch 3): recovery must load it and
   // replay zero batches, ignoring the fully covered WAL.
-  CheckpointData data;
-  data.epoch = 3;
-  data.rule_cache_epoch = live.rule_cache().epoch();
-  data.dtd_text = xml::DtdToString(run.dtd);
-  live.document().AppendBinary(&data.master_binary);
-  data.labels = xpath::ComputeIntervalLabels(live.document());
-  for (const auto& [name, policy] : run.subjects) {
-    auto* ac = live.subject(name);
-    SubjectState subject;
-    subject.name = name;
-    subject.policy_text = policy;
-    subject.default_sign = ac->CurrentDefaultSign();
-    subject.marked = ac->ExportMarkedSigns();
-    data.subjects.push_back(std::move(subject));
-  }
-  ASSERT_TRUE(WriteCheckpoint(run.dir, data).ok());
+  ASSERT_TRUE(WriteCheckpoint(run.dir, CaptureCheckpoint(&live, run, 3)).ok());
 
   engine::MultiSubjectController recovered = MakeController();
   auto state = RecoverState(run.dir, &recovered);
@@ -672,6 +714,63 @@ TEST(RecoveryTest, ReplayFromCheckpointSkipsCoveredBatches) {
   EXPECT_EQ(state->epoch, 3u);
   EXPECT_EQ(state->replayed_batches, 0u);
   EXPECT_EQ(engine::DiffFleetState(recovered, live), "");
+  // With no tail to replay, the recovered index is the load-time build:
+  // its labels are exactly those of a fresh labeling of the document the
+  // checkpoint stored.
+  auto index = recovered.native_store()->CurrentIndexVersion();
+  ASSERT_NE(index, nullptr);
+  const xml::Document& doc = recovered.document();
+  std::vector<xpath::IntervalLabel> fresh = xpath::ComputeIntervalLabels(doc);
+  for (xml::NodeId id : doc.AllElements()) {
+    EXPECT_EQ(index->label(id).start, fresh[id].start) << id;
+    EXPECT_EQ(index->label(id).end, fresh[id].end) << id;
+    EXPECT_EQ(index->label(id).level, fresh[id].level) << id;
+  }
+  std::filesystem::remove_all(run.dir);
+}
+
+// Recovery from a checkpoint plus a WAL tail: the index published at load
+// and maintained through the replayed batches must read like a fresh index
+// over the recovered document.  Incremental inserts carve labels out of
+// gaps, so the values may differ; the nesting and order they encode, the
+// levels and the alive entries of every tag stream may not.
+TEST(RecoveryTest, RecoveredIndexMatchesFreshIndexAfterTail) {
+  DurableRun run = HospitalRun("recover_ckpt_tail");
+  std::vector<engine::BatchOp> ops{
+      engine::BatchOp::Delete("//patient[psn=\"033\"]"),
+      engine::BatchOp::Insert("//patients",
+                              "<patient><psn>009</psn><name>new</name>"
+                              "<treatment><regular><bill>5</bill></regular>"
+                              "</treatment></patient>"),
+      engine::BatchOp::Delete("//patient[psn=\"042\"]/treatment"),
+  };
+  engine::MultiSubjectController live = MakeController();
+  SetUpRun(run, &live);
+  WriteRun(&live, ops, run);
+  // The checkpoint covers the first batch (epoch 2); the tail replays the
+  // insert and the second delete.
+  engine::MultiSubjectController at_two = MakeController();
+  SetUpRun(run, &at_two);
+  ASSERT_TRUE(at_two.ApplyBatch({ops[0]}).ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(run.dir, CaptureCheckpoint(&at_two, run, 2)).ok());
+
+  engine::MultiSubjectController recovered = MakeController();
+  auto state = RecoverState(run.dir, &recovered);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_TRUE(state->from_checkpoint);
+  EXPECT_EQ(state->epoch, 4u);
+  EXPECT_EQ(state->replayed_batches, 2u);
+  EXPECT_EQ(engine::DiffFleetState(recovered, live), "");
+
+  const xml::Document& doc = recovered.document();
+  auto maintained = recovered.native_store()->CurrentIndexVersion();
+  ASSERT_NE(maintained, nullptr);
+  ASSERT_TRUE(maintained->Matches(doc));
+  xpath::StructuralIndex fresh(&doc);
+  fresh.Publish();
+  ASSERT_NE(fresh.current(), nullptr);
+  EXPECT_EQ(IndexShape(*maintained, doc), IndexShape(*fresh.current(), doc));
   std::filesystem::remove_all(run.dir);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,6 +15,7 @@
 #include "xml/parser.h"
 #include "xpath/evaluator.h"
 #include "xpath/parser.h"
+#include "xpath/structural_eval.h"
 
 namespace xmlac::xpath {
 namespace {
@@ -241,6 +243,32 @@ TEST(StructuralIndexTest, PublishedVersionsAreImmutableSnapshots) {
   // the whole MVCC design rests on.
   EXPECT_EQ(v1->TagStream("patient").size(), patients_before);
   EXPECT_EQ(v2->TagStream("patient").size(), patients_before + 1);
+}
+
+TEST(StructuralIndexTest, SharedVersionOutlivesInvalidateAndPublisher) {
+  Document doc = Parse(testdata::kHospitalDoc);
+  const std::vector<std::string> queries = {
+      "//patient", "//dept//treatment/*/bill", "//patient[treatment]",
+      "//patient[psn=\"042\"]/name"};
+  auto index = std::make_unique<StructuralIndex>(&doc);
+  index->Publish();
+  std::shared_ptr<const IndexVersion> held = index->CurrentShared();
+  ASSERT_NE(held, nullptr);
+  std::vector<std::vector<NodeId>> expected;
+  for (const std::string& q : queries) {
+    expected.push_back(EvalBoth(q, doc, *index));
+  }
+  index->Invalidate();
+  EXPECT_EQ(index->current(), nullptr);
+  index.reset();
+  // The holder is now the version's only owner: no publisher, no head.
+  EXPECT_EQ(held.use_count(), 1);
+  ASSERT_TRUE(held->Matches(doc));
+  for (size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(EvaluateStructural(MustParse(queries[i]), doc, *held),
+              expected[i])
+        << queries[i];
+  }
 }
 
 TEST(StructuralIndexTest, DeleteOnlyBatchSharesStreamsWithParent) {

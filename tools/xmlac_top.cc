@@ -72,16 +72,10 @@ void Render(const HealthView& v, bool ansi) {
               v.Get("obs.ring.appended").c_str(),
               v.Get("obs.ring.dropped").c_str(),
               v.Get("obs.worker_ring_pool.misses").c_str());
-  std::printf("requests     %8s   traces retained %s  evicted %s\n",
+  std::printf("requests     %8s   traces retained %s  evicted %s\n\n",
               v.Get("obs.recorder.requests_seen").c_str(),
               v.Get("obs.recorder.retained_traces").c_str(),
               v.Get("obs.recorder.evicted_traces").c_str());
-  std::printf(
-      "index mvcc   pins %s  advances %s  retired %s  reclaimed %s  "
-      "live %s\n\n",
-      v.Get("epoch.pins").c_str(), v.Get("epoch.advances").c_str(),
-      v.Get("epoch.retired").c_str(), v.Get("epoch.reclaimed").c_str(),
-      v.Get("epoch.live_versions").c_str());
   std::printf("%-12s %8s %10s\n", "queue", "depth", "watermark");
   std::printf("%-12s %8s %10s\n", "read",
               v.Get("serve.health.read_queue.depth").c_str(),
