@@ -11,6 +11,7 @@
 //               over word ranges, cache misses over interval shards)
 //   relscan     relational annotation-set scans, per-row-range sub-scans
 //   labeling    (st, en) interval labeling, per-top-subtree
+//   forkjoin    the ParallelFor pool's fixed cost per fan-out (not gated)
 //
 // Flags: `--json out.json` (BENCH_*.json rows), `--factor F` (XMark scale,
 // default 1.0), `--reps N` (median-of-N, default 3) and the CI perf-smoke
@@ -22,6 +23,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -136,6 +139,43 @@ int main(int argc, char** argv) {
         {{"seconds", seconds}, {"speedup", speedup}});
     return speedup;
   };
+
+  // --- forkjoin: the pool's fixed cost per fan-out ----------------------
+  // One item per participant; the caller's item waits (yielding) until
+  // every participant has taken one, so a call times a full fork-join
+  // round trip: queue the tickets, wake the workers, join them.  "warm"
+  // runs calls back to back; "cold" leaves the pool idle for 10 ms first,
+  // like a serve read at 100 reads/s.  structural_eval.cc's
+  // kEvalShardMinWork is derived from the cold figure.
+  size_t timed = 1;
+  for (size_t threads : sweep) {
+    const size_t taking_part = std::min(threads, ParallelPoolWorkers() + 1);
+    if (taking_part == timed) continue;  // capped at the pool size
+    timed = taking_part;
+    auto round_trip_us = [&](std::chrono::milliseconds idle, int calls) {
+      std::vector<double> samples;
+      for (int c = 0; c < calls; ++c) {
+        if (idle.count() > 0) std::this_thread::sleep_for(idle);
+        std::atomic<size_t> arrived{0};
+        Timer t;
+        ParallelFor(taking_part, taking_part, 1, [&](size_t) {
+          arrived.fetch_add(1);
+          while (arrived.load() < taking_part) std::this_thread::yield();
+        });
+        samples.push_back(t.ElapsedSeconds() * 1e6);
+      }
+      std::sort(samples.begin(), samples.end());
+      return samples[samples.size() / 2];
+    };
+    const double warm_us = round_trip_us(std::chrono::milliseconds(0), 400);
+    const double cold_us = round_trip_us(std::chrono::milliseconds(10), 100);
+    std::printf("%-12s %8zu %7.1f us warm, %.1f us cold (median round trip)\n",
+                "forkjoin", taking_part, warm_us, cold_us);
+    BenchReport::Instance().Add(
+        "parallel_scaling.forkjoin",
+        {{"threads", std::to_string(taking_part)}},
+        {{"warm_us", warm_us}, {"cold_us", cold_us}});
+  }
 
   // Best multi-threaded speedup per gated workload, for the CI gate.
   double best_eval = 1.0;

@@ -7,8 +7,9 @@
 // Every parallel site in the engine follows the same shape: partition an
 // ordered input (a start-sorted context set, the words of a node bitmap,
 // the row range of a table, the top-level subtrees of a document) into
-// contiguous ranges, run each range on a ParallelFor worker, and merge the
-// per-range outputs by concatenating them in range order.  Because every
+// contiguous ranges, run the ranges through ParallelFor (the caller plus
+// persistent pool workers), and merge the per-range outputs by
+// concatenating them in range order.  Because every
 // shard key is aligned with the output order — interval start labels are
 // pre-order, bitmap words own disjoint id ranges, row indices are scan
 // order — concatenation IS the order-preserving merge, and the sharded
@@ -16,8 +17,9 @@
 // checks this on every fuzz sweep).
 //
 // PlanShards is the one policy point: it decides between a single serial
-// range and k contiguous ranges based on the input size, the configured
-// work threshold, and DefaultParallelism().
+// range and k contiguous ranges based on the input size (or the call site's
+// estimate of its work), the configured work threshold, and
+// DefaultParallelism().
 
 #include <algorithm>
 #include <cstddef>
@@ -40,11 +42,13 @@ struct ShardRange {
 struct ShardConfig {
   // Master toggle.  Disabled => PlanShards always returns one range.
   bool enabled = true;
-  // Worker count; 0 = DefaultParallelism().
+  // Shard count, and the cap on threads taking part; 0 =
+  // DefaultParallelism().  A value above the pool size still plans that
+  // many ranges, but only ParallelPoolWorkers() + 1 threads run them.
   size_t threads = 0;
-  // Inputs smaller than this stay serial.  0 = use the call site's default
-  // (each site knows its own per-element cost; a bitmap word is ~1ns of
-  // work, an XPath context node can be microseconds).
+  // Inputs whose work is below this stay serial.  0 = use the call site's
+  // default (each site knows its own per-element cost; a bitmap word is
+  // ~1ns of work, an XPath context node can be microseconds).
   size_t min_work = 0;
 
   size_t ResolvedThreads() const {
@@ -53,16 +57,18 @@ struct ShardConfig {
 };
 
 // Partitions [0, n) into contiguous ranges: one range when sharding is
-// disabled or n is below the work threshold, otherwise up to
+// disabled or `work` (the call site's estimate of the input's cost, in the
+// unit of its threshold) is below the work threshold, otherwise up to
 // config.ResolvedThreads() ranges of near-equal size covering [0, n) in
 // order.  Returns an empty vector when n == 0.
-inline std::vector<ShardRange> PlanShards(size_t n, const ShardConfig& config,
-                                          size_t default_min_work = 1) {
+inline std::vector<ShardRange> PlanShards(size_t n, size_t work,
+                                          const ShardConfig& config,
+                                          size_t default_min_work) {
   std::vector<ShardRange> out;
   if (n == 0) return out;
   size_t min_work = config.min_work != 0 ? config.min_work : default_min_work;
   size_t k = 1;
-  if (config.enabled && n >= min_work) k = config.ResolvedThreads();
+  if (config.enabled && work >= min_work) k = config.ResolvedThreads();
   if (k > n) k = n;
   if (k == 0) k = 1;
   size_t chunk = (n + k - 1) / k;
@@ -71,6 +77,12 @@ inline std::vector<ShardRange> PlanShards(size_t n, const ShardConfig& config,
     out.push_back(ShardRange{begin, std::min(begin + chunk, n)});
   }
   return out;
+}
+
+// Sites whose per-element cost is uniform: the work is the input size.
+inline std::vector<ShardRange> PlanShards(size_t n, const ShardConfig& config,
+                                          size_t default_min_work = 1) {
+  return PlanShards(n, n, config, default_min_work);
 }
 
 }  // namespace xmlac

@@ -43,8 +43,10 @@ struct ExecOptions {
   // Shard-parallel execution (common/shard.h, docs/performance.md): fans the
   // hot loops — structural-index joins, Fig. 5 bitmap combination, relational
   // seed scans, labeling — out over contiguous interval/row ranges with an
-  // order-preserving merge.  `shard_threads` 0 = auto (hardware concurrency,
-  // capped); results are byte-identical to serial for any shard count.
+  // order-preserving merge.  `shard_threads` is the shard count, 0 = auto
+  // (hardware concurrency, capped); the ranges run on the ParallelFor pool,
+  // so at most pool size + 1 threads take part.  Results are byte-identical
+  // to serial for any shard count.
   bool shard_parallel = true;
   size_t shard_threads = 0;
 };
@@ -63,8 +65,9 @@ struct ControllerOptions : ExecOptions {
   // for the controller's lifetime.
   xpath::ContainmentCache* shared_containment_cache = nullptr;
 
-  // Worker threads for cache-miss rule evaluation (0 = auto, 1 = serial);
-  // only effective on backends that SupportsParallelEval().
+  // Threads taking part in cache-miss rule evaluation (0 = auto, 1 =
+  // serial; capped at the ParallelFor pool size + 1); only effective on
+  // backends that SupportsParallelEval().
   size_t parallel_rules = 0;
 
   // Fault injection for the differential harness: skip the trigger-driven

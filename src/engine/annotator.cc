@@ -111,7 +111,7 @@ Result<std::vector<RuleScopeCache::BitmapPtr>> RuleScopes(
 
 // Below this many 64-bit words the bitmap combination stays serial: a word
 // op is ~1ns, so a shard must own hundreds of thousands of ids before the
-// fan-out pays for its thread spawns.
+// fan-out pays for its fork-join round trip.
 constexpr size_t kBitmapShardMinWords = 2048;
 
 // Word-range-parallel sign diff.  Word ranges own disjoint ascending id

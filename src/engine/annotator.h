@@ -63,8 +63,8 @@ struct AnnotationContext {
   uint64_t epoch = 0;
   // Optional sign-diff state; null means signs are written wholesale.
   SignState* sign_state = nullptr;
-  // Worker threads for cache-miss rule evaluation (0 = auto); only used
-  // when backend->SupportsParallelEval().
+  // Threads taking part in cache-miss rule evaluation (0 = auto); only
+  // used when backend->SupportsParallelEval().
   size_t parallel_rules = 0;
   // Shard-parallel execution of the Fig. 5 bitmap combination and the sign
   // diffs (word-range partitioning; see common/shard.h).  Safe to leave on:

@@ -35,7 +35,8 @@ namespace xmlac::engine {
 
 // The engine knobs (ExecOptions) reach every subject controller unchanged.
 struct MultiSubjectOptions : ExecOptions {
-  // Worker threads for the per-subject fan-out (0 = auto, 1 = serial).
+  // Threads taking part in the per-subject fan-out (0 = auto, 1 = serial;
+  // capped at the ParallelFor pool size + 1).
   size_t parallel_subjects = 0;
 };
 

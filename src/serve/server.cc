@@ -144,14 +144,11 @@ Status Server::Start() {
     }
     rings_.push_back(recorder_->AddRing("writer"));
     if (options_.shard_parallel) {
-      // Rings for ParallelFor workers spawned by sharded execution.  Sized
-      // for the widest fan-out (auto parallelism); workers that find the
-      // pool exhausted run ring-less, counted in HealthSnapshot().
+      // One ring per persistent ParallelFor pool worker: a pool worker
+      // holds at most one ring at a time, so the pool never runs dry and a
+      // miss in HealthSnapshot() can only mean a bug.
       worker_ring_pool_ = std::make_unique<obs::WorkerRingPool>();
-      const size_t pool_size = options_.shard_threads != 0
-                                   ? options_.shard_threads
-                                   : DefaultParallelism();
-      for (size_t i = 0; i < pool_size; ++i) {
+      for (size_t i = 0; i < ParallelPoolWorkers(); ++i) {
         worker_ring_pool_->Add(
             recorder_->AddRing("parallel-" + std::to_string(i)));
       }
@@ -361,8 +358,8 @@ void Server::WorkerLoop(size_t worker_index) {
   obs::EventRing* ring =
       worker_index < rings_.size() ? rings_[worker_index] : nullptr;
   obs::ScopedRing ring_context(ring);
-  // Sharded fan-outs launched from this thread hand recorder rings to their
-  // spawned workers through the pool.
+  // Sharded fan-outs launched from this thread hand recorder rings to the
+  // ParallelFor pool workers that run them.
   obs::ScopedWorkerRingPool pool_context(worker_ring_pool_.get());
   const uint16_t queue_name =
       ring != nullptr ? obs::InternName("read_queue") : 0;

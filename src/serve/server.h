@@ -77,8 +77,9 @@ struct DurabilityOptions {
 
 // The engine knobs (optimize_policies, enable_rule_cache, shard_*,
 // parallel_subjects) are the fleet's MultiSubjectOptions, passed to it
-// unchanged.  With the flight recorder on, sharded ParallelFor workers
-// claim rings from a shared pool so their spans land in the recorder too.
+// unchanged.  With the flight recorder on, ParallelFor pool workers running
+// this server's fan-outs claim rings from a per-server WorkerRingPool so
+// their spans land in the recorder too.
 struct ServerOptions : engine::MultiSubjectOptions {
   size_t workers = 4;
   size_t read_queue_capacity = 1024;
@@ -145,8 +146,9 @@ struct ServerHealth {
   size_t read_queue_watermark = 0;
   size_t write_queue_depth = 0;
   size_t write_queue_watermark = 0;
-  // Sharded ParallelFor workers that found every pooled recorder ring busy
-  // and ran unrecorded (obs::WorkerRingPool::misses).
+  // ParallelFor pool workers that found every recorder ring of the server's
+  // WorkerRingPool busy and ran unrecorded (obs::WorkerRingPool::misses).
+  // The pool holds one ring per pool worker, so anything but 0 is a bug.
   uint64_t worker_ring_pool_misses = 0;
   obs::RecorderHealth recorder;
 };
@@ -325,9 +327,10 @@ class Server {
   // by drainer_ every drain_interval_ms.  Null/empty when disabled.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::vector<obs::EventRing*> rings_;
-  // Ring pool for ParallelFor workers spawned under sharded execution: each
-  // spawned worker claims a dedicated ring for the fan-out's duration, so
-  // shard-span events reach the recorder without breaking SPSC.
+  // Ring pool for ParallelFor pool workers, one "parallel-N" ring per pool
+  // worker: a worker claims a ring for each ticket of this server's
+  // fan-outs it runs, so shard-span events reach the recorder without
+  // breaking SPSC.
   std::unique_ptr<obs::WorkerRingPool> worker_ring_pool_;
   std::thread drainer_;
   std::mutex drainer_mu_;

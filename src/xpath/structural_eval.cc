@@ -15,9 +15,15 @@ using xml::Document;
 using xml::NodeId;
 using xml::NodeKind;
 
-// Contexts smaller than this stay serial: a fan-out costs thread spawns
-// plus a merge sort, so each shard must carry real join work.
-constexpr size_t kEvalShardMinContext = 256;
+// A step chain fans out only when its estimated join work (EstimatedWork:
+// context nodes plus the stream entries the remaining merges can walk)
+// reaches this many units.  Splitting serial time S over k participants
+// pays off once S > F * k / (k - 1), F being the pool's fork-join round
+// trip.  Measured on a 4-vCPU host: F = 65 us with the pool idle for 10 ms
+// first, as between serve reads (bench_parallel_scaling's "forkjoin" row),
+// and S = ~30 ns per unit (median over serve_commit's queries at XMark
+// f = 0.2), so 65 us * 4/3 / 30 ns = ~2900 units.
+constexpr size_t kEvalShardMinWork = 2900;
 
 // Per-evaluation scratch: counters for the obs layer plus the per-strategy
 // breakdown reported as trace-span tags.
@@ -173,6 +179,36 @@ std::vector<NodeId> ApplySteps(EvalState& s, const Path& path,
                                size_t step_index, std::vector<NodeId> context,
                                size_t limit_at_last);
 
+size_t StepWork(const EvalState& s, const Step& step);
+
+// Join work of a step's predicates: each predicate path re-joins below the
+// step's candidates, whose subtrees are disjoint or nested, so over all
+// candidates it walks about its own streams once.
+size_t PredicateWork(const EvalState& s, const Step& step) {
+  size_t work = 0;
+  for (const Predicate& pred : step.predicates) {
+    for (const Step& p : pred.path.steps) work += StepWork(s, p);
+  }
+  return work;
+}
+
+// Upper bound on the stream entries one step's merge walks (its whole
+// stream), plus its predicates' work.
+size_t StepWork(const EvalState& s, const Step& step) {
+  return StreamFor(s, step).size() + PredicateWork(s, step);
+}
+
+// Estimated join work of applying steps [step_index..] to `context_size`
+// context nodes, in the unit of kEvalShardMinWork.
+size_t EstimatedWork(const EvalState& s, const Path& path, size_t step_index,
+                     size_t context_size) {
+  size_t work = context_size;
+  for (size_t i = step_index; i < path.steps.size(); ++i) {
+    work += StepWork(s, path.steps[i]);
+  }
+  return work;
+}
+
 // Exchange fan-out over the context set: splits the start-sorted context
 // into contiguous interval ranges, applies the remaining steps per range on
 // ParallelFor workers (each with a serial worker state), and merges by
@@ -228,7 +264,8 @@ std::vector<NodeId> ApplySteps(EvalState& s, const Path& path,
     if (context.empty()) break;
     if (s.shard != nullptr && s.fanout_available && limit_at_last == 0) {
       std::vector<ShardRange> ranges =
-          PlanShards(context.size(), *s.shard, kEvalShardMinContext);
+          PlanShards(context.size(), EstimatedWork(s, path, i, context.size()),
+                     *s.shard, kEvalShardMinWork);
       if (ranges.size() > 1) {
         s.fanout_available = false;
         if (!start_sorted) SortByStart(s, &context);
@@ -386,7 +423,8 @@ std::vector<NodeId> FirstStepContext(EvalState& s, const Path& path) {
   const std::vector<NodeId>& stream = StreamFor(s, first);
   std::vector<ShardRange> ranges;
   if (s.shard != nullptr && !first.predicates.empty()) {
-    ranges = PlanShards(stream.size(), *s.shard, kEvalShardMinContext);
+    ranges = PlanShards(stream.size(), stream.size() + PredicateWork(s, first),
+                        *s.shard, kEvalShardMinWork);
   }
   if (ranges.size() > 1) {
     obs::ScopedSpan span("xpath.shard_fanout");

@@ -49,8 +49,9 @@ std::vector<xml::NodeId> EvaluateFromStructural(const Path& path,
                                                 xml::NodeId context,
                                                 const IndexVersion& index);
 
-// Shard-parallel variants: large context sets fan out per contiguous
-// interval range onto ParallelFor workers with an order-preserving merge
+// Shard-parallel variants: a step chain whose estimated join work is large
+// fans out per contiguous context interval range onto ParallelFor with an
+// order-preserving merge
 // (exchange operator; docs/performance.md).  Results are byte-identical to
 // the serial overloads for any shard count.
 std::vector<xml::NodeId> EvaluateStructural(const Path& path,

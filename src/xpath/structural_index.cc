@@ -33,7 +33,7 @@ const std::vector<NodeId> kEmptyStream;
 
 // Below this many document slots a rebuild stays serial: per-node labeling
 // work is tens of nanoseconds, so small documents cannot amortize the
-// fan-out's thread spawns.
+// fan-out's fork-join round trip.
 constexpr size_t kLabelShardMinNodes = 4096;
 
 // Labels the subtree rooted at `root` with the enter/leave counter scheme,

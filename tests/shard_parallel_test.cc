@@ -2,8 +2,8 @@
 // order-preserving-merge layer must be invisible in results — byte-identical
 // output for ANY shard count, on every path that shards (structural eval,
 // bitmap combination, labeling, relational scans) — while the plumbing
-// (PlanShards, ParallelFor grains, the worker ring pool) obeys its local
-// contracts.
+// (PlanShards, the worker ring pool) obeys its local contracts.  The
+// ParallelFor pool itself is covered by parallel_test.
 
 #include "common/shard.h"
 
@@ -73,6 +73,19 @@ TEST(PlanShardsTest, MinWorkSentinelUsesCallSiteDefault) {
   EXPECT_GT(PlanShards(100, config, /*default_min_work=*/256).size(), 1u);
 }
 
+TEST(PlanShardsTest, WorkEstimateDecidesNotInputSize) {
+  ShardConfig config;
+  config.threads = 4;
+  // A small input carrying much work shards; a large cheap one does not.
+  EXPECT_EQ(PlanShards(10, /*work=*/5000, config, 2900).size(), 4u);
+  EXPECT_EQ(PlanShards(10000, /*work=*/100, config, 2900).size(), 1u);
+  // min_work still overrides the call site's threshold both ways.
+  config.min_work = 1;
+  EXPECT_EQ(PlanShards(10000, /*work=*/100, config, 2900).size(), 4u);
+  config.min_work = 10000;
+  EXPECT_EQ(PlanShards(10, /*work=*/5000, config, 2900).size(), 1u);
+}
+
 TEST(PlanShardsTest, RangesAreContiguousAndCoverInput) {
   for (size_t n : {1u, 2u, 7u, 64u, 1000u, 4097u}) {
     for (size_t threads : {1u, 2u, 3u, 7u, 16u, 64u}) {
@@ -90,33 +103,6 @@ TEST(PlanShardsTest, RangesAreContiguousAndCoverInput) {
       }
     }
   }
-}
-
-// ----- ParallelFor grains ------------------------------------------------
-
-TEST(ParallelForTest, EveryIndexRunsExactlyOnce) {
-  for (size_t n : {0u, 1u, 7u, 100u, 1000u}) {
-    for (size_t threads : {0u, 1u, 2u, 4u}) {
-      for (size_t grain : {0u, 1u, 3u, 64u, 100000u}) {
-        std::vector<std::atomic<int>> hits(n);
-        ParallelFor(n, threads, grain, [&](size_t i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-        for (size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " threads=" << threads
-                                       << " grain=" << grain << " i=" << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelForTest, SerialPathPreservesOrder) {
-  // threads=1 must run in index order on the caller thread (no spawn).
-  std::vector<size_t> order;
-  ParallelFor(100, 1, 7, [&](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 100u);
-  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
 
 // ----- Worker ring pool --------------------------------------------------
