@@ -110,21 +110,25 @@ uint64_t EventRing::Drain(std::vector<Event>* out) {
   for (uint64_t i = tail_; i != head; ++i) {
     const Slot& s = slots_[i & mask_];
     Event e;
-    e.ts_ns = s.w0.load(std::memory_order_relaxed);
-    e.arg = s.w1.load(std::memory_order_relaxed);
-    uint64_t w2 = s.w2.load(std::memory_order_relaxed);
+    e.ts_ns = s.w0.load(std::memory_order_acquire);
+    e.arg = s.w1.load(std::memory_order_acquire);
+    uint64_t w2 = s.w2.load(std::memory_order_acquire);
     e.name = static_cast<uint16_t>(w2 & 0xFFFF);
     e.type = static_cast<EventType>((w2 >> 16) & 0xFFFF);
     e.klass = static_cast<uint8_t>((w2 >> 32) & 0xFF);
     out->push_back(e);
   }
   // Overwrite detection: any slot the producer could have reached while we
-  // were copying may hold a torn mix of two events.  Re-read head; indices
-  // below head2 - cap are suspect — discard that (oldest-first) prefix and
-  // count it as dropped instead of surfacing garbage.
-  uint64_t head2 = head_.load(std::memory_order_acquire);
-  if (head2 > cap && head2 - cap > read_from) {
-    uint64_t torn = std::min(head2 - cap, head) - read_from;
+  // were copying may hold a torn mix of two events.  The producer announces
+  // index j in claimed_ before it touches j's slot (that of index j - cap),
+  // and the acquire loads above make any new slot word we read carry that
+  // claim, so indices below claimed - cap are suspect — discard that
+  // (oldest-first) prefix and count it as dropped instead of surfacing
+  // garbage.  Re-reading head_ instead misses the slot of a write still in
+  // progress.
+  uint64_t claimed = claimed_.load(std::memory_order_relaxed);
+  if (claimed > cap && claimed - cap > read_from) {
+    uint64_t torn = std::min(claimed - cap, head) - read_from;
     out->erase(out->begin() + static_cast<ptrdiff_t>(base),
                out->begin() + static_cast<ptrdiff_t>(base + torn));
     lost += torn;
