@@ -39,6 +39,7 @@ Server::Server(ServerOptions options)
       write_queue_(options.write_queue_capacity) {
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
+  snapshots_.set_inject_skip_delete(options_.inject_recycle_skip_delete);
 }
 
 Server::~Server() { Stop(); }
@@ -129,8 +130,8 @@ Status Server::Start() {
   }
   const uint64_t initial_epoch = recovered_ ? recovered_epoch_ : 1;
   XMLAC_ASSIGN_OR_RETURN(SnapshotPtr initial,
-                         BuildSnapshot(controller_, initial_epoch,
-                                       options_.snapshot_index));
+                         snapshots_.Build(controller_, initial_epoch,
+                                          options_.snapshot_index));
   snapshot_.store(std::move(initial));
   epoch_.store(initial_epoch, std::memory_order_release);
   obs::IncrementCounter("serve.snapshot.published");
@@ -305,6 +306,18 @@ ServerHealth Server::HealthSnapshot() {
   if (worker_ring_pool_ != nullptr) {
     h.worker_ring_pool_misses = worker_ring_pool_->misses();
   }
+  auto count = [this](std::string_view name) {
+    return metrics_.counter(name)->value();
+  };
+  h.snapshot_docs.recycled = count("serve.snapshot.docs_recycled");
+  h.snapshot_docs.cloned = count("serve.snapshot.docs_cloned");
+  h.snapshot_docs.cloned_pinned = count("serve.snapshot.docs_cloned.pinned");
+  h.snapshot_docs.cloned_lineage = count("serve.snapshot.docs_cloned.lineage");
+  h.snapshot_docs.cloned_default_sign =
+      count("serve.snapshot.docs_cloned.default_sign");
+  h.snapshot_docs.cloned_journal_window =
+      count("serve.snapshot.docs_cloned.journal_window");
+  h.snapshot_docs.recycle_mismatch = count("serve.snapshot.recycle_mismatch");
   if (recorder_ != nullptr) {
     recorder_->Drain();  // fold in everything appended so far
     h.recorder = recorder_->Health();
@@ -341,6 +354,16 @@ std::string HealthText(const ServerHealth& health) {
      << '\n';
   os << "obs.worker_ring_pool.misses " << health.worker_ring_pool_misses
      << '\n';
+  const ServerHealth::SnapshotDocs& docs = health.snapshot_docs;
+  os << "serve.snapshot.docs_recycled " << docs.recycled << '\n';
+  os << "serve.snapshot.docs_cloned " << docs.cloned << '\n';
+  os << "serve.snapshot.docs_cloned.pinned " << docs.cloned_pinned << '\n';
+  os << "serve.snapshot.docs_cloned.lineage " << docs.cloned_lineage << '\n';
+  os << "serve.snapshot.docs_cloned.default_sign " << docs.cloned_default_sign
+     << '\n';
+  os << "serve.snapshot.docs_cloned.journal_window "
+     << docs.cloned_journal_window << '\n';
+  os << "serve.snapshot.recycle_mismatch " << docs.recycle_mismatch << '\n';
   os << obs::HealthToText(health.recorder);
   return os.str();
 }
@@ -499,8 +522,8 @@ void Server::WriterLoop() {
               obs::IncrementCounter("serve.wal.errors");
             }
           }
-          auto snapshot =
-              BuildSnapshot(controller_, new_epoch, options_.snapshot_index);
+          auto snapshot = snapshots_.Build(controller_, new_epoch,
+                                           options_.snapshot_index);
           if (!snapshot.ok()) {
             resp.status = snapshot.status();
           } else {
@@ -510,7 +533,9 @@ void Server::WriterLoop() {
             // freshly published IndexVersion, so tree, signs, and index
             // travel as one epoch — and since this store runs after the WAL
             // Sync above, durability still precedes anything a client can
-            // observe (docs/concurrency.md).
+            // observe (docs/concurrency.md).  The displaced snapshot's
+            // documents go back to snapshots_'s pool when its last reader
+            // lets go — here, or on that reader's thread.
             snapshot_.store(std::move(*snapshot));
             epoch_.store(new_epoch, std::memory_order_release);
             published->Increment();
@@ -554,6 +579,9 @@ void Server::WriterLoop() {
       update_latency->Record(static_cast<uint64_t>(t.queued.ElapsedMicros()));
       t.done.set_value(resp);
     }
+    // Retired documents the pool does not keep are freed here, after the
+    // replies: off every commit's latency and off every reader's thread.
+    snapshots_.FreeSurplus();
   }
 }
 

@@ -107,6 +107,10 @@ struct ServerOptions : engine::MultiSubjectOptions {
   // DumpFlightRecorder() drain on demand, so freshness doesn't depend on
   // this cadence.
   size_t drain_interval_ms = 50;
+  // Fault injection for the serve fuzzer's self-check: snapshot builds
+  // catch recycled documents up without their kDelete replays
+  // (SnapshotBuilder::set_inject_skip_delete).  Never set outside tests.
+  bool inject_recycle_skip_delete = false;
   // Write-ahead logging + checkpoints + crash recovery.  When enabled the
   // writer thread appends one WAL record per coalesced batch and syncs it
   // BEFORE publishing the epoch, so an acked update is durable
@@ -150,6 +154,20 @@ struct ServerHealth {
   // WorkerRingPool busy and ran unrecorded (obs::WorkerRingPool::misses).
   // The pool holds one ring per pool worker, so anything but 0 is a bug.
   uint64_t worker_ring_pool_misses = 0;
+  // Snapshot documents, by how each snapshot build obtained them
+  // (SnapshotBuilder): caught up from a retired document, or cloned from
+  // the store — with the clone's reason — plus caught-up documents that
+  // failed the store check and were refused.  The serve.snapshot.* counters
+  // of the server registry.
+  struct SnapshotDocs {
+    uint64_t recycled = 0;
+    uint64_t cloned = 0;
+    uint64_t cloned_pinned = 0;
+    uint64_t cloned_lineage = 0;
+    uint64_t cloned_default_sign = 0;
+    uint64_t cloned_journal_window = 0;
+    uint64_t recycle_mismatch = 0;
+  } snapshot_docs;
   obs::RecorderHealth recorder;
 };
 
@@ -313,6 +331,10 @@ class Server {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopped_{false};
 
+  // Writer thread only (Start builds the first snapshot before the writer
+  // exists).  Declared before snapshot_, so the published snapshot is
+  // dropped first and its documents go back to a still-open pool.
+  SnapshotBuilder snapshots_;
   SnapshotSlot snapshot_;
   std::atomic<uint64_t> epoch_{0};
 

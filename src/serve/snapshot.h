@@ -9,7 +9,9 @@
 // construction (const documents behind shared_ptr), readers resolve
 // requests against whichever snapshot was current when they started, and
 // the writer publishes a fresh snapshot per update batch.  No reader ever
-// takes a lock on document data.
+// takes a lock on document data.  A view's document is rewritten only
+// after its deleter returned it to the writer's pool — once nothing holds
+// it — and then only into a later snapshot (SnapshotBuilder).
 
 #include <cstdint>
 #include <map>
@@ -52,9 +54,11 @@ struct Snapshot {
 using SnapshotPtr = std::shared_ptr<const Snapshot>;
 
 // The publication point: one mutex-guarded SnapshotPtr.  Both critical
-// sections are a bare pointer copy — nanoseconds — so readers never wait
-// on the writer's actual work (re-annotation, snapshot building), only on
-// the pointer swing itself.
+// sections copy or swap a pointer and nothing else: store() swaps the new
+// snapshot in under the lock and drops the displaced one after unlocking,
+// so whatever that drop destroys (a Snapshot's map and views, and the
+// hand-back of its documents, see SnapshotBuilder) never holds up a
+// reader's load().
 //
 // Deliberately NOT std::atomic<std::shared_ptr<...>>: libstdc++'s
 // _Sp_atomic unlocks its internal spinlock in load() with a relaxed
@@ -69,8 +73,12 @@ class SnapshotSlot {
     return ptr_;
   }
   void store(SnapshotPtr ptr) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ptr_ = std::move(ptr);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ptr_.swap(ptr);
+    }
+    // `ptr` now holds the displaced snapshot; it is released here, outside
+    // the critical section.
   }
 
  private:
@@ -96,13 +104,63 @@ Result<engine::RequestOutcome> QuerySnapshot(const Snapshot& snapshot,
 // annotated from its sign bitmap, all sharing the store's one
 // IndexVersion.  Requires a native-XML store; returns InvalidArgument
 // otherwise.
-// Used by the server's writer thread after each batch, and by tests to
-// build serial-oracle snapshots with the same code path.  `capture_index`
-// false skips embedding IndexVersions, pinning reads to the naive
-// evaluator — the A/B baseline the epoch bench gate compares against
+// This is SnapshotBuilder::Build without a pool — every document a fresh
+// clone — which makes it the from-scratch reference the recycling build is
+// diffed against, and the build perfbench's serial replay times.
+// `capture_index` false skips embedding IndexVersions, pinning reads to the
+// naive evaluator — the A/B baseline the epoch bench gate compares against
 // (ServerOptions::snapshot_index).
 Result<SnapshotPtr> BuildSnapshot(engine::MultiSubjectController& controller,
                                   uint64_t epoch, bool capture_index = true);
+
+class DocumentPool;
+
+// The server's snapshot build: BuildSnapshot, except that each view's
+// document goes back to this builder's pool when its last reference drops
+// (on whatever thread drops it: the deleter only queues it), and the next
+// Build catches a pooled document up — the store's journal delta since its
+// version, then the sign diff between the bitmap it was annotated from and
+// the subject's current one — instead of cloning the store again
+// (docs/serving.md, "Snapshot build").  A subject falls back to a fresh
+// Clone(), counted under `serve.snapshot.docs_cloned.<reason>`, when:
+//  - pinned:         no retired document of it is pooled (its last view is
+//                    still referenced, or the subject is new);
+//  - lineage:        the pooled document descends from another store (the
+//                    controller was re-loaded);
+//  - default_sign:   the subject's default sign changed;
+//  - journal_window: the store's bounded journal no longer reaches the
+//                    pooled document's version.
+// A caught-up document whose version or size differs from the store's is
+// never published: Build returns Internal and counts
+// `serve.snapshot.recycle_mismatch`.  Build runs on one thread at a time
+// (the server's writer); retired documents may arrive from any thread.
+class SnapshotBuilder {
+ public:
+  SnapshotBuilder();
+  // Closes the pool: pooled documents are freed here, and documents of
+  // snapshots that outlive the builder are freed by their last owner.
+  ~SnapshotBuilder();
+
+  SnapshotBuilder(const SnapshotBuilder&) = delete;
+  SnapshotBuilder& operator=(const SnapshotBuilder&) = delete;
+
+  Result<SnapshotPtr> Build(engine::MultiSubjectController& controller,
+                            uint64_t epoch, bool capture_index = true);
+
+  // Frees the retired documents the pool does not keep: a subject's older
+  // second document, and documents Build could not reuse.  The server calls
+  // it after a batch's replies are sent, so no commit waits on the free.
+  void FreeSurplus();
+
+  // Fault injection for the serve fuzzer's self-check: the catch-up skips
+  // every kDelete of the journal delta (`xmlac_fuzz --inject-bug
+  // recycle-skip-delete`).
+  void set_inject_skip_delete(bool on) { inject_skip_delete_ = on; }
+
+ private:
+  std::shared_ptr<DocumentPool> pool_;
+  bool inject_skip_delete_ = false;
+};
 
 }  // namespace xmlac::serve
 

@@ -248,6 +248,8 @@ policy::Policy ApplyBug(policy::Policy policy, InjectedBug bug) {
       // Engine-side too, but in the controllers, not the policy (see
       // EngineOptions above).
       break;
+    case InjectedBug::kRecycleSkipDelete:
+      break;  // in the serving layer's snapshot build (serve_fuzz.h)
   }
   return policy;
 }

@@ -38,9 +38,18 @@ std::unique_ptr<engine::Backend> MakeBackend(BackendKind kind,
 // policy; kStaleCache leaves the policy alone and instead disables the
 // trigger-driven rule-cache evictions inside the controllers (see
 // ControllerOptions::inject_stale_cache), so stale bitmaps survive updates.
+// kRecycleSkipDelete is the serving layer's: snapshot builds catch recycled
+// documents up without their kDelete replays
+// (ServerOptions::inject_recycle_skip_delete; serve fuzzing only).
 // Used by harness self-tests and `xmlac_fuzz --inject-bug` to prove the
 // pipeline catches and minimizes real semantic drift.
-enum class InjectedBug { kNone, kFlipCr, kFlipDs, kStaleCache };
+enum class InjectedBug {
+  kNone,
+  kFlipCr,
+  kFlipDs,
+  kStaleCache,
+  kRecycleSkipDelete
+};
 
 policy::Policy ApplyBug(policy::Policy policy, InjectedBug bug);
 

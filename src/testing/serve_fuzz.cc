@@ -96,6 +96,8 @@ ServeFuzzResult RunServeFuzz(const ServeFuzzOptions& options) {
   serve::ServerOptions server_options;
   server_options.workers = options.workers;
   server_options.max_batch = options.max_batch;
+  server_options.inject_recycle_skip_delete =
+      options.bug == InjectedBug::kRecycleSkipDelete;
   serve::Server server(server_options);
   dump_server = &server;
   Status st = server.LoadParsed(instance.dtd, instance.doc);

@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <string>
 
+#include "testing/diff.h"
 #include "testing/generators.h"
 
 namespace xmlac::testing {
@@ -42,6 +43,9 @@ struct ServeFuzzOptions {
   // replay asserts the immutability contract directly: publishing a new
   // index version must never perturb a version a reader already holds.
   bool torn_epochs = false;
+  // kRecycleSkipDelete turns on ServerOptions::inject_recycle_skip_delete;
+  // every other value leaves the server alone.
+  InjectedBug bug = InjectedBug::kNone;
   // When non-empty, the server's flight recorder (trace.json + health.txt)
   // is dumped here on the FIRST failure — the span-level story of the run
   // that produced the mismatch, saved next to the repro files.

@@ -1,6 +1,7 @@
 #include "xml/document.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/binary.h"
 #include "common/logging.h"
@@ -15,6 +16,11 @@ namespace {
 constexpr size_t kJournalCap = 1 << 16;
 
 }  // namespace
+
+uint64_t Document::NextLineage() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 void Document::Journal(Mutation::Kind kind, NodeId node) {
   ++version_;
@@ -52,11 +58,33 @@ NodeId Document::NewNode(NodeKind kind, std::string_view label,
 Document Document::Clone() const {
   Document copy;
   copy.nodes_ = nodes_;
+  copy.lineage_ = lineage_;
   copy.alive_count_ = alive_count_;
   copy.version_ = version_;
   copy.journal_ = journal_;
   copy.journal_base_ = journal_base_;
   return copy;
+}
+
+void Document::CatchUpFrom(const Document& store,
+                           const std::vector<Mutation>& delta) {
+  XMLAC_CHECK_MSG(lineage_ == store.lineage_,
+                  "catch-up from a document of another lineage");
+  for (const Mutation& m : delta) {
+    if (m.kind == Mutation::Kind::kDelete) {
+      DeleteSubtree(m.node);
+      continue;
+    }
+    // Ids are arena indices handed out in creation order, so a past state
+    // replaying the store's creations allocates exactly the store's ids.
+    XMLAC_CHECK_MSG(m.node == nodes_.size(), "catch-up out of order");
+    const Node& src = store.nodes_[m.node];
+    NewNode(src.kind, src.label, src.parent);
+    nodes_.back().attributes = src.attributes;
+    if (src.parent != kInvalidNode) {
+      nodes_[src.parent].children.push_back(m.node);
+    }
+  }
 }
 
 NodeId Document::CreateRoot(std::string_view label) {

@@ -1,6 +1,7 @@
 #ifndef XMLAC_XML_DOCUMENT_H_
 #define XMLAC_XML_DOCUMENT_H_
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -45,8 +46,24 @@ class Document {
   Document& operator=(Document&&) = default;
 
   // Deep copy (explicit; the copy constructor is deleted so accidental
-  // copies of multi-megabyte documents can't happen silently).
+  // copies of multi-megabyte documents can't happen silently).  The copy
+  // shares this document's lineage().
   Document Clone() const;
+
+  // Which document this one descends from: fresh for every constructed or
+  // FromBinary-restored document, inherited by Clone().  Equal lineage is
+  // the precondition of CatchUpFrom.
+  uint64_t lineage() const { return lineage_; }
+
+  // Brings this document forward to `store`'s structure by replaying
+  // `delta`, which must be `store.MutationsSince(version())`: a kCreate
+  // appends a copy of the store node (kind, label, parent, attributes) at
+  // the same id, a kDelete runs DeleteSubtree.  This document must be a
+  // past state of `store` — a Clone() of the same lineage changed since
+  // only by CatchUpFrom and attribute writes — so afterwards its version()
+  // and size() equal the store's and every alive node has the store's
+  // structure.  Attributes of nodes that already existed are left alone.
+  void CatchUpFrom(const Document& store, const std::vector<Mutation>& delta);
 
   // Creates the root element.  Must be called exactly once, first.
   NodeId CreateRoot(std::string_view label);
@@ -121,10 +138,12 @@ class Document {
   static Result<Document> FromBinary(std::string_view data);
 
  private:
+  static uint64_t NextLineage();
   NodeId NewNode(NodeKind kind, std::string_view label, NodeId parent);
   void Journal(Mutation::Kind kind, NodeId node);
 
   std::vector<Node> nodes_;
+  uint64_t lineage_ = NextLineage();
   size_t alive_count_ = 0;
   uint64_t version_ = 0;
   // Journal of the last mutations; journal_[i] took the document from

@@ -181,6 +181,40 @@ TEST(DocumentTest, BinaryRestoreStartsEmptyJournalWindow) {
   EXPECT_EQ(mutations.size(), 1u);
 }
 
+// A past state caught up by the store's journal delta is the store again:
+// same arena (ids, tombstones, children order, attributes of new nodes),
+// same version — and attribute writes made to it meanwhile survive.
+TEST(DocumentTest, CatchUpFromReplaysTheStoreJournal) {
+  Document store = MakeHospitalFragment();
+  Document past = store.Clone();
+  EXPECT_EQ(past.lineage(), store.lineage());
+  EXPECT_NE(MakeHospitalFragment().lineage(), store.lineage());
+  past.SetAttribute(past.root(), "sign", "+");
+
+  NodeId patients = 2;
+  NodeId patient = store.CreateElement(patients, "patient");
+  store.SetAttribute(patient, "ward", "b");
+  store.CreateText(store.CreateElement(patient, "psn"), "034");
+  NodeId doomed = store.CreateElement(patient, "name");
+  store.DeleteSubtree(3);  // the original patient
+  store.CreateText(doomed, "jane doe");
+  store.DeleteSubtree(doomed);
+  store.CreateElement(patients, "patient");
+
+  std::vector<Mutation> delta;
+  ASSERT_TRUE(store.MutationsSince(past.version(), &delta));
+  past.CatchUpFrom(store, delta);
+  EXPECT_EQ(past.version(), store.version());
+  EXPECT_EQ(past.size(), store.size());
+  EXPECT_EQ(past.alive_count(), store.alive_count());
+  EXPECT_EQ(past.GetAttribute(past.root(), "sign"), "+");
+  past.RemoveAttribute(past.root(), "sign");
+  std::string want, got;
+  store.AppendBinary(&want);
+  past.AppendBinary(&got);
+  EXPECT_EQ(got, want);
+}
+
 TEST(DocumentTest, FromBinaryRejectsCorruptBlob) {
   Document doc = MakeHospitalFragment();
   std::string blob;

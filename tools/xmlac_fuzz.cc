@@ -22,6 +22,7 @@
 //   xmlac_fuzz --mode serve --crash-after -1        # crash-recovery rounds
 //   xmlac_fuzz --inject-bug flip-cr --rounds 50     # must fail + shrink
 //   xmlac_fuzz --inject-bug stale-cache --rounds 50 # ditto, cache staleness
+//   xmlac_fuzz --mode serve --torn-epochs --inject-bug recycle-skip-delete
 //   xmlac_fuzz --replay repro/seed-13
 
 #include <climits>
@@ -47,7 +48,8 @@ struct FuzzOptions {
   int rounds = 50;
   double time_budget_s = 0;  // 0 = rounds only
   std::string backends = "native,row,column";
-  std::string inject_bug;  // "", "flip-cr", "flip-ds", "stale-cache"
+  // "", "flip-cr", "flip-ds", "stale-cache", "recycle-skip-delete"
+  std::string inject_bug;
   std::string repro_dir = "repro";
   std::string replay;
   int shrink_attempts = 2000;
@@ -81,7 +83,9 @@ int Usage(const char* argv0) {
       "  --inject-bug B        flip-cr|flip-ds: corrupt the engine-side\n"
       "                        policy; stale-cache: skip the rule cache's\n"
       "                        trigger-driven evictions — both prove the\n"
-      "                        harness catches the drift\n"
+      "                        harness catches the drift;\n"
+      "                        recycle-skip-delete (serve mode): snapshot\n"
+      "                        builds drop the catch-up's deletes\n"
       "  --repro-dir DIR       where minimized repros are dumped (repro)\n"
       "  --replay DIR          re-check an instance written by a past run\n"
       "  --shrink-attempts N   shrink budget in check invocations (2000)\n"
@@ -217,6 +221,13 @@ int main(int argc, char** argv) {
     diff.bug = tst::InjectedBug::kFlipDs;
   } else if (opt.inject_bug == "stale-cache") {
     diff.bug = tst::InjectedBug::kStaleCache;
+  } else if (opt.inject_bug == "recycle-skip-delete") {
+    diff.bug = tst::InjectedBug::kRecycleSkipDelete;
+    if (opt.mode != "serve") {
+      std::fprintf(stderr, "--inject-bug recycle-skip-delete needs "
+                           "--mode serve\n");
+      return Usage(argv[0]);
+    }
   } else if (!opt.inject_bug.empty()) {
     std::fprintf(stderr, "bad --inject-bug '%s'\n", opt.inject_bug.c_str());
     return Usage(argv[0]);
@@ -300,6 +311,7 @@ int main(int argc, char** argv) {
       serve_options.instance.element_types = opt.element_types;
       serve_options.update_ops = std::max(opt.updates, 4);
       serve_options.torn_epochs = opt.torn_epochs;
+      serve_options.bug = diff.bug;
       // On failure the run's flight recorder lands next to the repro
       // artifacts: the tail-sampled traces show what the pool threads were
       // doing around the mismatching epoch.
@@ -310,11 +322,15 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "seed %llu: SERVE MISMATCH\n  %s\n"
                      "flight recorder: %s\n"
-                     "replay: xmlac_fuzz --mode serve --seed %llu --rounds 1\n",
+                     "replay: xmlac_fuzz --mode serve --seed %llu --rounds 1"
+                     "%s%s%s\n",
                      static_cast<unsigned long long>(seed),
                      result.failure.c_str(),
                      serve_options.flight_recorder_dir.c_str(),
-                     static_cast<unsigned long long>(seed));
+                     static_cast<unsigned long long>(seed),
+                     opt.torn_epochs ? " --torn-epochs" : "",
+                     opt.inject_bug.empty() ? "" : " --inject-bug ",
+                     opt.inject_bug.c_str());
         return 1;
       }
       if (!opt.quiet && (r + 1) % 10 == 0) {

@@ -8,7 +8,8 @@
 //   xmlac_top /tmp/xmlac-health.txt
 //
 // Redraws an ANSI dashboard — epoch and recorder lag, queue depths against
-// their watermarks, ring drop counters, per-class latency percentiles —
+// their watermarks, ring drop counters, snapshot documents recycled vs
+// cloned, per-class latency percentiles —
 // every refresh interval until interrupted.  The file is replaced
 // atomically by the writer (temp + rename), so a read never sees a torn
 // snapshot; a missing file just renders as "waiting".
@@ -72,10 +73,19 @@ void Render(const HealthView& v, bool ansi) {
               v.Get("obs.ring.appended").c_str(),
               v.Get("obs.ring.dropped").c_str(),
               v.Get("obs.worker_ring_pool.misses").c_str());
-  std::printf("requests     %8s   traces retained %s  evicted %s\n\n",
+  std::printf("requests     %8s   traces retained %s  evicted %s\n",
               v.Get("obs.recorder.requests_seen").c_str(),
               v.Get("obs.recorder.retained_traces").c_str(),
               v.Get("obs.recorder.evicted_traces").c_str());
+  std::printf("snapshot docs recycled %s   cloned %s (pinned %s  lineage %s  "
+              "default sign %s  journal window %s)   mismatches %s\n\n",
+              v.Get("serve.snapshot.docs_recycled").c_str(),
+              v.Get("serve.snapshot.docs_cloned").c_str(),
+              v.Get("serve.snapshot.docs_cloned.pinned").c_str(),
+              v.Get("serve.snapshot.docs_cloned.lineage").c_str(),
+              v.Get("serve.snapshot.docs_cloned.default_sign").c_str(),
+              v.Get("serve.snapshot.docs_cloned.journal_window").c_str(),
+              v.Get("serve.snapshot.recycle_mismatch").c_str());
   std::printf("%-12s %8s %10s\n", "queue", "depth", "watermark");
   std::printf("%-12s %8s %10s\n", "read",
               v.Get("serve.health.read_queue.depth").c_str(),
