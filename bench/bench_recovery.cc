@@ -4,9 +4,8 @@
 //
 //   1. Recovery time vs document size: XMark at --factors (default
 //      0.1,1.0) with three coverage subjects and a fixed short WAL tail.
-//      Dominated by the genesis/checkpoint materialization (binary
-//      document load + structural index rebuild + per-subject sign
-//      restore).
+//      Dominated by the checkpoint materialization (binary document
+//      load + structural index rebuild + per-subject sign restore).
 //
 //   2. Recovery time vs WAL tail length: hospital workload, --tails
 //      (default 1000,10000,100000) single-op batch records.  For each
@@ -38,6 +37,7 @@
 #include "common/timer.h"
 #include "engine/multi_subject.h"
 #include "engine/native_backend.h"
+#include "storage/checkpoint.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
 #include "workload/coverage.h"
@@ -66,16 +66,17 @@ std::string FreshDir(const char* tag) {
   return dir;
 }
 
-// Appends the genesis install record for the controller's current state.
-void AppendGenesis(MultiSubjectController* controller, const xml::Dtd& dtd,
-                   const std::vector<std::pair<std::string, std::string>>&
-                       subject_policies,
-                   storage::Wal* wal) {
-  storage::InstallRecord install;
-  install.epoch = 1;
-  install.rule_cache_epoch = controller->rule_cache().epoch();
-  install.dtd_text = xml::DtdToString(dtd);
-  controller->document().AppendBinary(&install.master_binary);
+// Writes the controller's current state as the epoch-1 (genesis)
+// checkpoint, the base a durable server's recovery starts from.
+void WriteGenesisCheckpoint(
+    MultiSubjectController* controller, const xml::Dtd& dtd,
+    const std::vector<std::pair<std::string, std::string>>& subject_policies,
+    const std::string& dir) {
+  storage::CheckpointData genesis;
+  genesis.epoch = 1;
+  genesis.rule_cache_epoch = controller->rule_cache().epoch();
+  genesis.dtd_text = xml::DtdToString(dtd);
+  controller->document().AppendBinary(&genesis.master_binary);
   for (const auto& [name, policy] : subject_policies) {
     engine::AccessController* ac = controller->subject(name);
     XMLAC_CHECK_MSG(ac != nullptr, "missing subject " + name);
@@ -84,12 +85,10 @@ void AppendGenesis(MultiSubjectController* controller, const xml::Dtd& dtd,
     state.policy_text = policy;
     state.default_sign = ac->CurrentDefaultSign();
     state.marked = ac->ExportMarkedSigns();
-    install.subjects.push_back(std::move(state));
+    genesis.subjects.push_back(std::move(state));
   }
-  Status appended = wal->Append(1, storage::EncodeInstallRecord(install));
-  XMLAC_CHECK_MSG(appended.ok(), appended.ToString());
-  Status synced = wal->Sync();
-  XMLAC_CHECK_MSG(synced.ok(), synced.ToString());
+  Status written = storage::WriteCheckpoint(dir, genesis);
+  XMLAC_CHECK_MSG(written.ok(), written.ToString());
 }
 
 // Applies `ops` one batch per op through full annotation while logging each
@@ -193,7 +192,7 @@ SizePoint RunSizePoint(double factor, size_t tail_records) {
   controller.document().AppendBinary(&master_binary);
   point.master_bytes = master_binary.size();
 
-  AppendGenesis(&controller, *dtd, subject_policies, wal->get());
+  WriteGenesisCheckpoint(&controller, *dtd, subject_policies, dir);
   ApplyAndLog(&controller, ops, wal->get());
   wal->reset();  // close the segment before recovery reads the directory
   point.recover_s = RecoverAndCheck(dir, 1 + ops.size(), nullptr);
@@ -258,7 +257,7 @@ TailPoint RunTailPoint(size_t tail_records) {
 
   TailPoint point;
   point.tail_records = tail_records;
-  AppendGenesis(&controller, *dtd, subject_policies, wal->get());
+  WriteGenesisCheckpoint(&controller, *dtd, subject_policies, dir);
   point.cold_apply_s = ApplyAndLog(&controller, ops, wal->get());
   wal->reset();
   size_t replayed = 0;

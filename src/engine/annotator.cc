@@ -208,10 +208,11 @@ NodeBitmap CombineScopes(const policy::Policy& policy,
 
 // Writes the signs so the store's non-default set becomes exactly
 // `desired`.  With a valid SignState this is the bitmap diff — only changed
-// ids are emitted; otherwise ResetAllSigns + full SetSigns, which also
-// (re)establishes the state.  `affected` restricts which currently-marked
-// ids may be cleared (null = all of them; Reannotate passes the triggered
-// scopes' union so marks outside it survive).
+// ids are emitted.  `affected` restricts which currently-marked ids may be
+// cleared (null = all of them; Reannotate passes the triggered scopes'
+// union so marks outside it survive) and requires a valid state, which
+// ReannotateCached checks.  Without usable state a full annotation writes
+// wholesale — ResetAllSigns + full SetSigns — and establishes the state.
 Status ApplySigns(Backend* backend, char mark, char def,
                   const NodeBitmap& desired, const NodeBitmap* affected,
                   SignState* state, const ShardConfig& shard,
@@ -250,22 +251,11 @@ Status ApplySigns(Backend* backend, char mark, char def,
     return Status::OK();
   }
 
-  // No usable diff state: wholesale write, then establish the state.  Only
-  // a full-policy annotation may do this (affected == nullptr); a partial
-  // re-annotation without state must not ResetAllSigns, so it resets just
-  // the affected ids.
-  if (affected == nullptr) {
-    {
-      obs::ScopedSpan reset_span("annotate.reset_signs");
-      XMLAC_RETURN_IF_ERROR(backend->ResetAllSigns(def));
-    }
-    stats->reset = backend->NodeCount();
-  } else {
-    std::vector<UniversalId> to_reset = affected->ToIds();
+  {
     obs::ScopedSpan reset_span("annotate.reset_signs");
-    XMLAC_RETURN_IF_ERROR(backend->SetSigns(to_reset, def));
-    stats->reset = to_reset.size();
+    XMLAC_RETURN_IF_ERROR(backend->ResetAllSigns(def));
   }
+  stats->reset = backend->NodeCount();
   std::vector<UniversalId> marked = desired.ToIds();
   {
     obs::ScopedSpan mark_span("annotate.set_signs");
@@ -273,15 +263,9 @@ Status ApplySigns(Backend* backend, char mark, char def,
   }
   stats->marked = marked.size();
   if (state != nullptr) {
-    if (affected == nullptr) {
-      state->marked = desired;
-      state->default_sign = def;
-      state->valid = true;
-    } else {
-      // A partial write without usable state cannot reconstruct the full
-      // marked set.
-      state->valid = false;
-    }
+    state->marked = desired;
+    state->default_sign = def;
+    state->valid = true;
   }
   return Status::OK();
 }
@@ -322,6 +306,16 @@ Result<AnnotateStats> ReannotateCached(Backend* backend,
                                        const std::vector<size_t>& triggered,
                                        const std::vector<UniversalId>& old_scope,
                                        AnnotationContext* ctx) {
+  // A partial re-annotation diffs against the marks outside the triggered
+  // scopes, so it needs the sign state of record; without one the marked
+  // set that snapshots and the WAL read would silently go wrong.
+  const SignState* state = ctx->sign_state;
+  if (state == nullptr || !state->valid ||
+      state->default_sign != DefaultSign(policy)) {
+    return Status::Internal(
+        "partial re-annotation without a valid sign state for default "
+        "sign '" + std::string(1, DefaultSign(policy)) + "'");
+  }
   obs::ScopedSpan span("reannotate");
   obs::ScopedTimer timer("reannotate.elapsed_us");
   AnnotateStats stats;

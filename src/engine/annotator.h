@@ -48,9 +48,11 @@ struct AnnotateStats {
 // annotation paths: cached (re)annotations diff against it instead of
 // rewriting, and it is the sign set the WAL and snapshots record.
 struct SignState {
-  // False until a full annotation establishes the bitmap, and again after
-  // a document reload.  When invalid the annotator falls back to
-  // ResetAllSigns + full SetSigns and then re-establishes the state.
+  // False until a full annotation (or a restore) establishes the bitmap,
+  // and again after a document reload.  When invalid, a cached full
+  // annotation falls back to ResetAllSigns + full SetSigns and then
+  // re-establishes the state; a cached partial re-annotation is an
+  // Internal error.
   bool valid = false;
   char default_sign = '-';
   NodeBitmap marked;

@@ -55,8 +55,8 @@ Status Server::Load(std::string_view dtd_text, std::string_view xml_text) {
 Status Server::LoadParsed(const xml::Dtd& dtd, const xml::Document& doc) {
   if (started_) return Status::Internal("Load must precede Start");
   XMLAC_RETURN_IF_ERROR(controller_.LoadParsed(dtd, doc));
-  // No source text to retain; the genesis/checkpoint records get the DTD's
-  // canonical serialization instead.
+  // No source text to retain; checkpoints get the DTD's canonical
+  // serialization instead.
   dtd_text_ = xml::DtdToString(dtd);
   loaded_ = true;
   return Status::OK();
@@ -73,22 +73,30 @@ Status Server::AddSubject(std::string_view subject,
 Status Server::OpenDurability() {
   const DurabilityOptions& d = options_.durability;
   XMLAC_RETURN_IF_ERROR(EnsureDirectory(d.data_dir));
-  XMLAC_ASSIGN_OR_RETURN(storage::RecoveredState recovered,
-                         storage::RecoverState(d.data_dir, &controller_));
-  if (recovered.found) {
+  Result<storage::RecoveredState> recovered =
+      storage::RecoverState(d.data_dir, &controller_);
+  if (!recovered.ok()) {
+    // Damaged durable state is never served as a prefix or replaced by a
+    // fresh start: acknowledged commits would silently disappear.
+    obs::IncrementCounter("serve.recovery.refused");
+    return recovered.status();
+  }
+  if (recovered->found) {
     // Durable state supersedes whatever Load/AddSubject configured: the
     // directory is the source of truth for a restarted server.
     recovered_ = true;
-    recovered_epoch_ = recovered.epoch;
-    dtd_text_ = recovered.dtd_text;
+    recovered_epoch_ = recovered->epoch;
+    dtd_text_ = recovered->dtd_text;
     policies_.clear();
-    for (auto& [name, text] : recovered.subject_policies) {
+    for (auto& [name, text] : recovered->subject_policies) {
       policies_[name] = text;
     }
     loaded_ = true;
     obs::IncrementCounter("serve.recovery.runs");
     obs::IncrementCounter("serve.recovery.batches_replayed",
-                          recovered.replayed_batches);
+                          recovered->replayed_batches);
+    obs::IncrementCounter("serve.recovery.checkpoints_skipped",
+                          recovered->checkpoints_skipped);
   }
   storage::WalOptions wopt;
   wopt.dir = d.data_dir;
@@ -100,24 +108,6 @@ Status Server::OpenDurability() {
   return Status::OK();
 }
 
-Status Server::AppendGenesisRecord() {
-  storage::InstallRecord record;
-  record.epoch = 1;
-  record.rule_cache_epoch = controller_.rule_cache().epoch();
-  record.dtd_text = dtd_text_;
-  controller_.document().AppendBinary(&record.master_binary);
-  for (const std::string& name : controller_.SubjectNames()) {
-    XMLAC_ASSIGN_OR_RETURN(engine::SubjectSigns signs,
-                           controller_.Signs(name));
-    XMLAC_ASSIGN_OR_RETURN(storage::SubjectState s,
-                           DurableSubject(name, std::move(signs)));
-    record.subjects.push_back(std::move(s));
-  }
-  XMLAC_RETURN_IF_ERROR(
-      wal_->Append(record.epoch, storage::EncodeInstallRecord(record)));
-  return wal_->Sync();
-}
-
 Status Server::Start() {
   if (started_) return Status::Internal("already started");
   obs::ScopedMetrics metrics_context(&metrics_);
@@ -126,7 +116,13 @@ Status Server::Start() {
   }
   if (!loaded_) return Status::Internal("no document loaded");
   if (wal_ != nullptr && !recovered_) {
-    XMLAC_RETURN_IF_ERROR(AppendGenesisRecord());
+    // Genesis: a fresh directory's base state is the epoch-1 checkpoint.
+    // The writer thread does not exist yet, so the live document is
+    // serialized in place, without a clone.
+    XMLAC_ASSIGN_OR_RETURN(SubjectSignList signs, CaptureSigns());
+    XMLAC_RETURN_IF_ERROR(WriteCheckpointOf(1, controller_.rule_cache().epoch(),
+                                            controller_.document(),
+                                            std::move(signs)));
   }
   const uint64_t initial_epoch = recovered_ ? recovered_epoch_ : 1;
   XMLAC_ASSIGN_OR_RETURN(SnapshotPtr initial,
@@ -600,6 +596,16 @@ Result<storage::SubjectState> Server::DurableSubject(
   return s;
 }
 
+Result<Server::SubjectSignList> Server::CaptureSigns() const {
+  SubjectSignList out;
+  for (const std::string& name : controller_.SubjectNames()) {
+    XMLAC_ASSIGN_OR_RETURN(engine::SubjectSigns signs,
+                           controller_.Signs(name));
+    out.emplace_back(name, std::move(signs));
+  }
+  return out;
+}
+
 Result<Server::CheckpointJob> Server::MakeCheckpointJob() {
   // Both the post-batch checkpoint scheduling and CheckpointNow's queue
   // barrier run this on the writer thread, which owns the engine.
@@ -607,11 +613,7 @@ Result<Server::CheckpointJob> Server::MakeCheckpointJob() {
   job.epoch = epoch_.load(std::memory_order_acquire);
   job.rule_cache_epoch = controller_.rule_cache().epoch();
   job.document = controller_.document().Clone();
-  for (const std::string& name : controller_.SubjectNames()) {
-    XMLAC_ASSIGN_OR_RETURN(engine::SubjectSigns signs,
-                           controller_.Signs(name));
-    job.subjects.emplace_back(name, std::move(signs));
-  }
+  XMLAC_ASSIGN_OR_RETURN(job.subjects, CaptureSigns());
   return job;
 }
 
@@ -638,24 +640,27 @@ void Server::CheckpointerLoop() {
     CheckpointJob job = std::move(*pending_ckpt_);
     pending_ckpt_.reset();
     lock.unlock();
-    Status s = BuildAndWriteCheckpoint(std::move(job));
+    Status s = WriteCheckpointOf(job.epoch, job.rule_cache_epoch,
+                                 job.document, std::move(job.subjects));
     if (!s.ok()) obs::IncrementCounter("serve.checkpoint.errors");
     lock.lock();
   }
 }
 
-Status Server::BuildAndWriteCheckpoint(CheckpointJob job) {
+Status Server::WriteCheckpointOf(uint64_t epoch, uint64_t rule_cache_epoch,
+                                 const xml::Document& document,
+                                 SubjectSignList subjects) {
   // One checkpoint at a time: CheckpointNow callers and the background
   // checkpointer must not interleave their write/remove-older/truncate
   // sequences.
   std::lock_guard<std::mutex> lock(ckpt_write_mu_);
   Timer timer;
   storage::CheckpointData data;
-  data.epoch = job.epoch;
-  data.rule_cache_epoch = job.rule_cache_epoch;
+  data.epoch = epoch;
+  data.rule_cache_epoch = rule_cache_epoch;
   data.dtd_text = dtd_text_;
-  job.document.AppendBinary(&data.master_binary);
-  for (auto& [name, signs] : job.subjects) {
+  document.AppendBinary(&data.master_binary);
+  for (auto& [name, signs] : subjects) {
     XMLAC_ASSIGN_OR_RETURN(storage::SubjectState s,
                            DurableSubject(name, std::move(signs)));
     data.subjects.push_back(std::move(s));
@@ -691,7 +696,8 @@ Status Server::CheckpointNow() {
   if (!write_queue_.Push(task)) return StoppedError();
   obs::ScopedMetrics metrics_context(&metrics_);
   XMLAC_ASSIGN_OR_RETURN(CheckpointJob captured, job.get());
-  return BuildAndWriteCheckpoint(std::move(captured));
+  return WriteCheckpointOf(captured.epoch, captured.rule_cache_epoch,
+                           captured.document, std::move(captured.subjects));
 }
 
 }  // namespace xmlac::serve

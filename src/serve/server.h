@@ -192,7 +192,9 @@ class Server {
   // and the writer thread.  With durability configured, first recovers any
   // state in data_dir (superseding Load/AddSubject configuration when
   // found) and opens the WAL; the initial snapshot resumes at the
-  // recovered epoch.
+  // recovered epoch.  A fresh data_dir gets the configured state as its
+  // epoch-1 checkpoint; a data_dir whose state cannot be recovered in full
+  // fails Start() (serve.recovery.refused) and is left untouched.
   Status Start();
 
   // Closes both queues, drains pending requests and joins all threads.
@@ -287,11 +289,13 @@ class Server {
   // A checkpoint job: everything the background checkpointer needs without
   // touching live engine state — the committed document and each subject's
   // sign state, captured on the writer thread.
+  using SubjectSignList =
+      std::vector<std::pair<std::string, engine::SubjectSigns>>;
   struct CheckpointJob {
     uint64_t epoch = 0;
     uint64_t rule_cache_epoch = 0;
     xml::Document document;
-    std::vector<std::pair<std::string, engine::SubjectSigns>> subjects;
+    SubjectSignList subjects;
   };
 
   struct WriteTask {
@@ -310,14 +314,19 @@ class Server {
   void CheckpointerLoop();
 
   // Recovery + WAL open; sets recovered_/loaded_ when durable state exists.
+  // A directory whose state cannot be recovered in full is an error.
   Status OpenDurability();
-  // Appends + syncs the genesis install record (fresh directories only).
-  Status AppendGenesisRecord();
-  // Builds and atomically writes the checkpoint for `job`, then truncates
-  // covered WAL segments.
-  Status BuildAndWriteCheckpoint(CheckpointJob job);
+  // Serializes `document` and `subjects` as the checkpoint at `epoch` and
+  // writes it atomically, then removes older checkpoints and truncates the
+  // WAL segments it covers.  Writes the genesis (epoch-1) checkpoint and
+  // every later one.
+  Status WriteCheckpointOf(uint64_t epoch, uint64_t rule_cache_epoch,
+                           const xml::Document& document,
+                           SubjectSignList subjects);
   // Hands the current state to the checkpointer thread (newest wins).
   void ScheduleCheckpoint();
+  // Each subject's current signs.  The engine must not be mid-batch.
+  Result<SubjectSignList> CaptureSigns() const;
   // Writer thread only: the engine must not be mid-batch.
   Result<CheckpointJob> MakeCheckpointJob();
   // `name`'s WAL/checkpoint record: its retained policy text plus `signs`.
@@ -361,7 +370,7 @@ class Server {
 
   // --- Durability ----------------------------------------------------------
   std::unique_ptr<storage::Wal> wal_;
-  // Retained configuration sources, for genesis/checkpoint records: the
+  // Retained configuration sources, for checkpoints: the
   // DTD's text form and each subject's policy text (only mutated before
   // Start, read-only afterwards — safe from the checkpointer thread).
   std::string dtd_text_;

@@ -131,7 +131,8 @@ Status WriteCheckpoint(std::string_view dir, const CheckpointData& data) {
                          EncodeCheckpoint(data));
 }
 
-Result<CheckpointData> ReadNewestCheckpoint(std::string_view dir) {
+Result<CheckpointData> ReadNewestCheckpoint(std::string_view dir,
+                                            size_t* skipped) {
   XMLAC_ASSIGN_OR_RETURN(std::vector<std::string> names, ListFiles(dir));
   // Collect candidate epochs, newest first (names sort ascending and the
   // epoch field is zero-padded).
@@ -143,11 +144,13 @@ Result<CheckpointData> ReadNewestCheckpoint(std::string_view dir) {
   std::reverse(candidates.begin(), candidates.end());
   for (const std::string& name : candidates) {
     auto bytes = ReadFile(JoinPath(dir, name));
-    if (!bytes.ok()) continue;
-    auto data = DecodeCheckpoint(*bytes);
-    if (data.ok()) return data;
-    // Corrupt or half-written (pre-atomic-rename semantics shouldn't allow
-    // this, but a damaged disk can): fall back to the next-newest.
+    if (bytes.ok()) {
+      auto data = DecodeCheckpoint(*bytes);
+      if (data.ok()) return data;
+    }
+    // Unreadable or corrupt (the atomic rename rules out half-written
+    // files, but a damaged disk does not): fall back to the next-newest.
+    if (skipped != nullptr) ++*skipped;
   }
   return Status::NotFound("no valid checkpoint in '" + std::string(dir) + "'");
 }

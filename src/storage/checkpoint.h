@@ -9,8 +9,12 @@
 //
 // File layout: "XCKP" magic, u32 format version, u32 crc32(body), body.
 // The body is the binary CheckpointData encoding; the CRC rejects torn or
-// bit-rotted files at read time, and ReadNewestCheckpoint simply falls
-// back to the next-newest valid file.
+// bit-rotted files at read time, and ReadNewestCheckpoint falls back to
+// the next-newest valid file, counting the ones it skipped.
+//
+// A durable data directory always has one: a fresh server writes its
+// genesis state as the epoch-1 checkpoint, so a checkpoint is the only
+// base state recovery knows (recovery.h).
 
 #include <cstdint>
 #include <string>
@@ -40,9 +44,11 @@ Result<CheckpointData> DecodeCheckpoint(std::string_view bytes);
 // Atomically writes `data` into `dir`.
 Status WriteCheckpoint(std::string_view dir, const CheckpointData& data);
 
-// Loads the highest-epoch checkpoint that decodes cleanly; invalid files
-// are skipped, NotFound when none qualifies.
-Result<CheckpointData> ReadNewestCheckpoint(std::string_view dir);
+// Loads the highest-epoch checkpoint that decodes cleanly; NotFound when
+// none qualifies.  Checkpoint files that cannot be read or decoded are
+// skipped and, when `skipped` is set, counted into it.
+Result<CheckpointData> ReadNewestCheckpoint(std::string_view dir,
+                                            size_t* skipped = nullptr);
 
 // Deletes checkpoint files with epoch < `epoch` (keeps the current one).
 Status RemoveCheckpointsBefore(std::string_view dir, uint64_t epoch);

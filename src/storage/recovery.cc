@@ -20,6 +20,33 @@ std::string JoinPath(std::string_view dir, std::string_view name) {
   return out;
 }
 
+// Internal when `dir`'s durable state — its newest valid checkpoint (or
+// NotFound after skipping `skipped` damaged files) plus `wal` — would
+// recover less than every acknowledged commit.  Checked before recovery
+// touches the controller.  Epoch gaps are found during replay.
+Status CheckRecoverable(std::string_view dir,
+                        const Result<CheckpointData>& checkpoint,
+                        size_t skipped, const WalContents& wal) {
+  if (!wal.damage.empty()) {
+    uint64_t last_good = checkpoint.ok() ? checkpoint->epoch : 0;
+    if (!wal.records.empty()) {
+      last_good = std::max(last_good, wal.records.back().epoch);
+    }
+    return Status::Internal("WAL damaged in " + wal.damage +
+                            "; last good epoch " + std::to_string(last_good) +
+                            "; refusing to recover only the commits before "
+                            "the damage");
+  }
+  if (!checkpoint.ok() && (!wal.records.empty() || skipped > 0)) {
+    return Status::Internal(
+        "no valid checkpoint in '" + std::string(dir) + "' (" +
+        std::to_string(skipped) + " damaged) to replay " +
+        std::to_string(wal.records.size()) +
+        " WAL records onto; refusing to start from an empty state");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Result<WalContents> ReadWalDir(std::string_view dir) {
@@ -34,27 +61,32 @@ Result<WalContents> ReadWalDir(std::string_view dir) {
 
   WalContents out;
   out.segments = segments.size();
-  for (size_t i = 0; i < segments.size(); ++i) {
-    if (out.stopped_early) break;
-    XMLAC_ASSIGN_OR_RETURN(std::string bytes,
-                           ReadFile(JoinPath(dir, segments[i].second)));
+  for (size_t i = 0; i < segments.size() && out.damage.empty(); ++i) {
+    const std::string& name = segments[i].second;
+    XMLAC_ASSIGN_OR_RETURN(std::string bytes, ReadFile(JoinPath(dir, name)));
     SegmentScan scan = ScanSegment(bytes);
-    if (!scan.clean) {
-      ++out.torn_segments;
-      // A torn tail on the newest segment is the expected crash signature;
-      // torn bytes anywhere else mean damage, so stop consuming records
-      // conservatively at the last good one.
-      if (i + 1 != segments.size()) out.stopped_early = true;
-    }
     for (FramedRecord& framed : scan.records) {
-      auto record = DecodeRecord(framed.payload);
+      auto record = DecodeBatchRecord(framed.payload);
       if (!record.ok()) {
-        // CRC-valid but undecodable: a format bug or targeted corruption.
-        // Either way nothing after it can be trusted.
-        out.stopped_early = true;
+        // CRC-valid but undecodable: a format bug, targeted corruption, or
+        // a directory written in an older format.  Nothing after it can be
+        // trusted.
+        out.damage = name + ": the record at epoch " +
+                     std::to_string(framed.marker) + " does not decode (" +
+                     record.status().message() + ")";
         break;
       }
       out.records.push_back(std::move(*record));
+    }
+    if (!scan.clean) {
+      ++out.torn_segments;
+      // A torn tail on the newest segment is the expected crash signature;
+      // torn bytes anywhere else mean damage.
+      if (i + 1 != segments.size() && out.damage.empty()) {
+        out.damage = name + ": torn or corrupt after byte " +
+                     std::to_string(scan.valid_bytes) +
+                     ", and not the newest segment";
+      }
     }
   }
   return out;
@@ -63,35 +95,17 @@ Result<WalContents> ReadWalDir(std::string_view dir) {
 Result<RecoveredState> RecoverState(
     std::string_view dir, engine::MultiSubjectController* controller) {
   RecoveredState out;
-
-  auto checkpoint = ReadNewestCheckpoint(dir);
+  auto checkpoint = ReadNewestCheckpoint(dir, &out.checkpoints_skipped);
   if (!checkpoint.ok() &&
       checkpoint.status().code() != StatusCode::kNotFound) {
     return checkpoint.status();
   }
   XMLAC_ASSIGN_OR_RETURN(WalContents wal, ReadWalDir(dir));
+  XMLAC_RETURN_IF_ERROR(
+      CheckRecoverable(dir, checkpoint, out.checkpoints_skipped, wal));
+  if (!checkpoint.ok()) return out;  // nothing durable: found = false
 
-  // Pick the base state: checkpoint if present, else the genesis install.
-  CheckpointData base;
-  if (checkpoint.ok()) {
-    base = std::move(*checkpoint);
-    out.from_checkpoint = true;
-  } else {
-    const WalRecord* install = nullptr;
-    for (const WalRecord& r : wal.records) {
-      if (r.kind == RecordKind::kInstall) {
-        install = &r;
-        break;
-      }
-    }
-    if (install == nullptr) return out;  // nothing durable: found = false
-    base.epoch = install->install.epoch;
-    base.rule_cache_epoch = install->install.rule_cache_epoch;
-    base.dtd_text = install->install.dtd_text;
-    base.master_binary = install->install.master_binary;
-    base.subjects = install->install.subjects;
-  }
-
+  const CheckpointData& base = *checkpoint;
   controller->Reset();
   XMLAC_ASSIGN_OR_RETURN(xml::Dtd dtd, xml::ParseDtd(base.dtd_text));
   XMLAC_ASSIGN_OR_RETURN(xml::Document master,
@@ -112,17 +126,16 @@ Result<RecoveredState> RecoverState(
   // assigned consecutively by the single writer, so any gap means a
   // missing record — refuse rather than replay on a wrong base.
   uint64_t epoch = base.epoch;
-  for (const WalRecord& r : wal.records) {
-    if (r.kind != RecordKind::kBatch) continue;
-    if (r.batch.epoch <= epoch) continue;  // covered by the checkpoint
-    if (r.batch.epoch != epoch + 1) {
-      return Status::Internal(
-          "WAL gap: expected epoch " + std::to_string(epoch + 1) + ", found " +
-          std::to_string(r.batch.epoch));
+  for (const BatchRecord& r : wal.records) {
+    if (r.epoch <= epoch) continue;  // covered by the checkpoint
+    if (r.epoch != epoch + 1) {
+      return Status::Internal("WAL gap: expected epoch " +
+                              std::to_string(epoch + 1) + ", found " +
+                              std::to_string(r.epoch));
     }
-    auto replayed = controller->ReplayBatch(r.batch.ops, r.batch.deltas);
+    auto replayed = controller->ReplayBatch(r.ops, r.deltas);
     if (!replayed.ok()) return replayed.status();
-    epoch = r.batch.epoch;
+    epoch = r.epoch;
     ++out.replayed_batches;
   }
 
@@ -134,7 +147,7 @@ Result<RecoveredState> RecoverState(
 
 Result<WalDirSummary> InspectWalDir(std::string_view dir) {
   WalDirSummary out;
-  auto checkpoint = ReadNewestCheckpoint(dir);
+  auto checkpoint = ReadNewestCheckpoint(dir, &out.checkpoints_skipped);
   if (checkpoint.ok()) {
     out.has_checkpoint = true;
     out.checkpoint_epoch = checkpoint->epoch;
@@ -147,20 +160,12 @@ Result<WalDirSummary> InspectWalDir(std::string_view dir) {
   XMLAC_ASSIGN_OR_RETURN(WalContents wal, ReadWalDir(dir));
   out.segments = wal.segments;
   out.torn_segments = wal.torn_segments;
-  out.stopped_early = wal.stopped_early;
-  for (const WalRecord& r : wal.records) {
-    if (r.kind == RecordKind::kInstall) {
-      ++out.install_records;
-      if (out.subjects.empty()) {
-        for (const SubjectState& s : r.install.subjects) {
-          out.subjects.push_back(s.name);
-        }
-      }
-    } else {
-      ++out.batch_records;
-      if (out.first_batch_epoch == 0) out.first_batch_epoch = r.batch.epoch;
-      out.last_batch_epoch = r.batch.epoch;
-    }
+  out.refusal =
+      CheckRecoverable(dir, checkpoint, out.checkpoints_skipped, wal).message();
+  out.batch_records = wal.records.size();
+  if (!wal.records.empty()) {
+    out.first_batch_epoch = wal.records.front().epoch;
+    out.last_batch_epoch = wal.records.back().epoch;
   }
   return out;
 }

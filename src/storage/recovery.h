@@ -4,14 +4,16 @@
 // Crash recovery: newest valid checkpoint + WAL tail replay
 // (docs/durability.md).
 //
-// The base state comes from the newest checkpoint when one exists,
-// otherwise from the WAL's genesis install record.  Batch records beyond
-// the base epoch then replay through the engine's decision-replay path —
-// mutations plus recorded per-subject sign deltas, never re-running policy
-// evaluation.  A torn tail on the newest segment is a clean truncation
-// (those commits never acked); anything malformed earlier is treated as
-// real corruption and recovery stops conservatively at the last good
-// record.
+// The base state is always a checkpoint: a fresh durable server writes its
+// genesis state as the epoch-1 checkpoint, and the WAL holds batch records
+// only.  Batch records beyond the base epoch then replay through the
+// engine's decision-replay path — mutations plus recorded per-subject sign
+// deltas, never re-running policy evaluation.  A torn tail on the newest
+// segment is a clean truncation (those commits never acked).  Anything
+// else that would lose acknowledged commits is refused with an Internal
+// error: damage before the newest segment's tail, a CRC-valid record that
+// does not decode, an epoch gap, or WAL records (or checkpoint files) with
+// no valid checkpoint to apply them to.
 
 #include <cstdint>
 #include <string>
@@ -28,14 +30,16 @@ namespace xmlac::storage {
 // Raw durable contents of a data directory (also used by xmlac_recover for
 // offline inspection).
 struct WalContents {
-  std::vector<WalRecord> records;  // segment order, then in-segment order
+  std::vector<BatchRecord> records;  // segment order, then in-segment order
   size_t segments = 0;
   // Segments that were torn/corrupt.  At most the last segment may be torn
   // in a clean shutdown-free crash; more than that means damage.
   size_t torn_segments = 0;
-  // True when a non-final segment was torn or a CRC-valid record failed to
-  // decode — records after that point were discarded.
-  bool stopped_early = false;
+  // Empty when every segment was read to its end (a torn tail on the
+  // newest one included).  Otherwise where and why reading stopped early —
+  // a torn non-final segment, or a CRC-valid record that failed to decode —
+  // naming the segment file; no record from that point on was read.
+  std::string damage;
 };
 
 Result<WalContents> ReadWalDir(std::string_view dir);
@@ -43,16 +47,19 @@ Result<WalContents> ReadWalDir(std::string_view dir);
 struct RecoveredState {
   bool found = false;  // false: directory held no durable state
   uint64_t epoch = 0;  // last committed epoch re-materialized
-  bool from_checkpoint = false;
   size_t replayed_batches = 0;
+  // Newer checkpoint files that failed to read or decode, passed over for
+  // the older one recovery used.
+  size_t checkpoints_skipped = 0;
   std::string dtd_text;
   // (subject, policy text) pairs, for the serving layer to re-adopt.
   std::vector<std::pair<std::string, std::string>> subject_policies;
 };
 
 // Re-materializes the durable state of `dir` into `controller` (which is
-// Reset() first).  When nothing durable exists the controller is left
-// untouched and `found` is false.
+// Reset() first).  When the directory holds neither checkpoint files nor
+// WAL records the controller is left untouched and `found` is false; when
+// it holds state that cannot be recovered in full, Internal.
 Result<RecoveredState> RecoverState(std::string_view dir,
                                     engine::MultiSubjectController* controller);
 
@@ -62,14 +69,16 @@ Result<RecoveredState> RecoverState(std::string_view dir,
 struct WalDirSummary {
   bool has_checkpoint = false;
   uint64_t checkpoint_epoch = 0;
+  size_t checkpoints_skipped = 0;
   size_t segments = 0;
   size_t torn_segments = 0;
-  bool stopped_early = false;
-  size_t install_records = 0;
+  // Why RecoverState would refuse the directory; empty when it would not
+  // (epoch gaps, found only by replaying, aside).
+  std::string refusal;
   size_t batch_records = 0;
   uint64_t first_batch_epoch = 0;  // 0 when no batch records
   uint64_t last_batch_epoch = 0;
-  std::vector<std::string> subjects;  // from checkpoint or install record
+  std::vector<std::string> subjects;  // from the checkpoint
 };
 
 Result<WalDirSummary> InspectWalDir(std::string_view dir);

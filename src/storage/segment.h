@@ -7,10 +7,11 @@
 //
 //   [u32 body_len][u32 crc32(body)] body      body = [u64 marker][payload]
 //
-// The marker is the commit epoch of the record (install records carry the
-// genesis epoch), stored in the frame — not the payload — so segment-level
-// code can reason about which epochs a segment covers without decoding
-// payloads (checkpoint truncation needs exactly that).
+// The marker is the commit epoch of the batch record (the genesis state at
+// epoch 1 is a checkpoint, not a record), stored in the frame — not the
+// payload — so segment-level code can reason about which epochs a segment
+// covers without decoding payloads (checkpoint truncation needs exactly
+// that).
 //
 // Scanning is prefix-greedy: records are consumed until the first frame
 // that is truncated or fails its CRC, and the scan reports how many bytes

@@ -251,6 +251,11 @@ Status Wal::TruncateThrough(uint64_t marker) {
 
 namespace {
 
+// A payload's leading kind byte.  Kind 1 was the genesis install record,
+// replaced by the epoch-1 checkpoint.
+constexpr uint8_t kRetiredInstallKind = 1;
+constexpr uint8_t kBatchKind = 2;
+
 void PutIds(std::string* out, const std::vector<engine::UniversalId>& ids) {
   PutU32(out, static_cast<uint32_t>(ids.size()));
   for (engine::UniversalId id : ids) {
@@ -271,26 +276,9 @@ std::vector<engine::UniversalId> GetIds(BinaryCursor* cursor) {
 
 }  // namespace
 
-std::string EncodeInstallRecord(const InstallRecord& record) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(RecordKind::kInstall));
-  PutU64(&out, record.epoch);
-  PutU64(&out, record.rule_cache_epoch);
-  PutString(&out, record.dtd_text);
-  PutString(&out, record.master_binary);
-  PutU32(&out, static_cast<uint32_t>(record.subjects.size()));
-  for (const SubjectState& s : record.subjects) {
-    PutString(&out, s.name);
-    PutString(&out, s.policy_text);
-    PutU8(&out, static_cast<uint8_t>(s.default_sign));
-    PutIds(&out, s.marked);
-  }
-  return out;
-}
-
 std::string EncodeBatchRecord(const BatchRecord& record) {
   std::string out;
-  PutU8(&out, static_cast<uint8_t>(RecordKind::kBatch));
+  PutU8(&out, kBatchKind);
   PutU64(&out, record.epoch);
   PutU32(&out, static_cast<uint32_t>(record.ops.size()));
   for (const engine::BatchOp& op : record.ops) {
@@ -310,60 +298,45 @@ std::string EncodeBatchRecord(const BatchRecord& record) {
   return out;
 }
 
-Result<WalRecord> DecodeRecord(std::string_view payload) {
+Result<BatchRecord> DecodeBatchRecord(std::string_view payload) {
   BinaryCursor cursor(payload);
-  WalRecord record;
   uint8_t kind = cursor.GetU8();
-  if (kind == static_cast<uint8_t>(RecordKind::kInstall)) {
-    record.kind = RecordKind::kInstall;
-    InstallRecord& r = record.install;
-    r.epoch = cursor.GetU64();
-    r.rule_cache_epoch = cursor.GetU64();
-    r.dtd_text = cursor.GetString();
-    r.master_binary = cursor.GetString();
-    uint32_t n = cursor.GetU32();
-    for (uint32_t i = 0; i < n && cursor.ok; ++i) {
-      SubjectState s;
-      s.name = cursor.GetString();
-      s.policy_text = cursor.GetString();
-      s.default_sign = static_cast<char>(cursor.GetU8());
-      s.marked = GetIds(&cursor);
-      r.subjects.push_back(std::move(s));
-    }
-  } else if (kind == static_cast<uint8_t>(RecordKind::kBatch)) {
-    record.kind = RecordKind::kBatch;
-    BatchRecord& r = record.batch;
-    r.epoch = cursor.GetU64();
-    uint32_t nops = cursor.GetU32();
-    for (uint32_t i = 0; i < nops && cursor.ok; ++i) {
-      engine::BatchOp op;
-      op.kind = cursor.GetU8() == 1 ? engine::BatchOp::Kind::kInsert
-                                    : engine::BatchOp::Kind::kDelete;
-      op.xpath = cursor.GetString();
-      op.fragment_xml = cursor.GetString();
-      r.ops.push_back(std::move(op));
-    }
-    std::string mutations = cursor.GetString();
-    if (cursor.ok) {
-      XMLAC_ASSIGN_OR_RETURN(r.master_mutations,
-                             xml::ParseMutations(mutations));
-    }
-    uint32_t nsubjects = cursor.GetU32();
-    for (uint32_t i = 0; i < nsubjects && cursor.ok; ++i) {
-      std::string name = cursor.GetString();
-      engine::SubjectDelta delta;
-      delta.marked = GetIds(&cursor);
-      delta.cleared = GetIds(&cursor);
-      r.deltas[std::move(name)] = std::move(delta);
-    }
-  } else {
+  if (kind == kRetiredInstallKind) {
+    return Status::ParseError(
+        "WAL record kind 1 is a genesis install record: genesis install "
+        "records were replaced by the epoch-1 checkpoint");
+  }
+  if (kind != kBatchKind) {
     return Status::ParseError("unknown WAL record kind " +
                               std::to_string(kind));
+  }
+  BatchRecord r;
+  r.epoch = cursor.GetU64();
+  uint32_t nops = cursor.GetU32();
+  for (uint32_t i = 0; i < nops && cursor.ok; ++i) {
+    engine::BatchOp op;
+    op.kind = cursor.GetU8() == 1 ? engine::BatchOp::Kind::kInsert
+                                  : engine::BatchOp::Kind::kDelete;
+    op.xpath = cursor.GetString();
+    op.fragment_xml = cursor.GetString();
+    r.ops.push_back(std::move(op));
+  }
+  std::string mutations = cursor.GetString();
+  if (cursor.ok) {
+    XMLAC_ASSIGN_OR_RETURN(r.master_mutations, xml::ParseMutations(mutations));
+  }
+  uint32_t nsubjects = cursor.GetU32();
+  for (uint32_t i = 0; i < nsubjects && cursor.ok; ++i) {
+    std::string name = cursor.GetString();
+    engine::SubjectDelta delta;
+    delta.marked = GetIds(&cursor);
+    delta.cleared = GetIds(&cursor);
+    r.deltas[std::move(name)] = std::move(delta);
   }
   if (!cursor.ok || !cursor.AtEnd()) {
     return Status::ParseError("malformed WAL record payload");
   }
-  return record;
+  return r;
 }
 
 }  // namespace xmlac::storage

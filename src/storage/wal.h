@@ -135,15 +135,12 @@ class Wal {
 };
 
 // ---------------------------------------------------------------------------
-// Logical record payloads.
-
-enum class RecordKind : uint8_t {
-  kInstall = 1,  // genesis: DTD + master document + all subjects
-  kBatch = 2,    // one committed ApplyBatch
-};
+// Logical record payloads.  The log holds batch records only: the base
+// state a batch applies to is a checkpoint (checkpoint.h), the first one
+// being the epoch-1 checkpoint a fresh durable server writes at Start().
 
 // One subject's durable annotation state: its policy source plus the signs
-// as "default sign + ids carrying the flipped sign" (PR 4's SignState).
+// as "default sign + ids carrying the flipped sign" (engine::SignState).
 struct SubjectState {
   std::string name;
   std::string policy_text;
@@ -151,14 +148,7 @@ struct SubjectState {
   std::vector<engine::UniversalId> marked;
 };
 
-struct InstallRecord {
-  uint64_t epoch = 1;
-  uint64_t rule_cache_epoch = 1;
-  std::string dtd_text;
-  std::string master_binary;  // xml::Document::AppendBinary dump
-  std::vector<SubjectState> subjects;
-};
-
+// One committed ApplyBatch.
 struct BatchRecord {
   uint64_t epoch = 0;
   std::vector<engine::BatchOp> ops;
@@ -168,16 +158,12 @@ struct BatchRecord {
   std::map<std::string, engine::SubjectDelta> deltas;
 };
 
-std::string EncodeInstallRecord(const InstallRecord& record);
 std::string EncodeBatchRecord(const BatchRecord& record);
 
-struct WalRecord {
-  RecordKind kind = RecordKind::kInstall;
-  InstallRecord install;
-  BatchRecord batch;
-};
-
-Result<WalRecord> DecodeRecord(std::string_view payload);
+// ParseError for anything but a well-formed batch record, including a
+// kind-1 payload from a data directory written before genesis moved into
+// the epoch-1 checkpoint.
+Result<BatchRecord> DecodeBatchRecord(std::string_view payload);
 
 }  // namespace xmlac::storage
 

@@ -287,15 +287,13 @@ RecoveryFuzzResult RunRecoveryFuzz(const RecoveryFuzzOptions& options) {
       instance.doc, instance.dtd, rng, options.update_ops,
       instance_options.paths);
 
-  // Crash point: how many WAL records (genesis included) survive.
-  const int max_crash = static_cast<int>(ops.size()) + 1;
+  // Crash point: how many WAL batch records survive.
+  const int max_crash = static_cast<int>(ops.size());
   result.crash_point =
       options.crash_point >= 0
           ? std::min(options.crash_point, max_crash)
           : static_cast<int>(rng.Uniform(static_cast<uint64_t>(max_crash + 1)));
-  result.durable_batches =
-      result.crash_point == 0 ? 0
-                              : static_cast<size_t>(result.crash_point - 1);
+  result.durable_batches = static_cast<size_t>(result.crash_point);
 
   std::string dir = options.data_dir;
   if (dir.empty()) {
@@ -340,7 +338,8 @@ RecoveryFuzzResult RunRecoveryFuzz(const RecoveryFuzzOptions& options) {
     st = server.Start();
     if (!st.ok()) return fail("server Start: " + st.ToString());
     // Serial closed-loop stream: op k commits at epoch k+2 (epoch 1 is the
-    // initial publish), so WAL record k+1 is its commit record.
+    // genesis checkpoint and initial publish), so WAL record k+1 is its
+    // commit record.
     for (const engine::BatchOp& op : ops) {
       serve::ServeResponse resp =
           op.kind == engine::BatchOp::Kind::kDelete
@@ -362,15 +361,7 @@ RecoveryFuzzResult RunRecoveryFuzz(const RecoveryFuzzOptions& options) {
   if (!recovered.ok()) {
     return fail("RecoverState: " + recovered.status().ToString());
   }
-  result.recovered = recovered->found;
   result.replayed_batches = recovered->replayed_batches;
-  if (result.crash_point == 0) {
-    // The kill predates even the genesis record: the directory must hold
-    // nothing durable.
-    if (recovered->found) return fail("recovered state from pre-genesis crash");
-    std::filesystem::remove_all(dir, ec);
-    return result;
-  }
   if (!recovered->found) {
     return fail("no durable state found after crash point " +
                 std::to_string(result.crash_point));

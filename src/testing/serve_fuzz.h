@@ -69,9 +69,9 @@ ServeFuzzResult RunServeFuzz(const ServeFuzzOptions& options);
 //
 // One run generates an instance, serves a serial update stream through a
 // durable serve::Server whose WAL "crashes" after a randomized number of
-// records (simulating a SIGKILL between WAL append and apply — every later
-// append silently vanishes, optionally leaving a torn frame prefix), then
-// recovers the data directory into a fresh engine and checks:
+// batch records (simulating a SIGKILL between WAL append and apply — every
+// later append silently vanishes, optionally leaving a torn frame prefix),
+// then recovers the data directory into a fresh engine and checks:
 //
 //  * the recovered state equals a reference engine that applied exactly
 //    the durable prefix of the stream (engine::DiffFleetState): the
@@ -81,17 +81,19 @@ ServeFuzzResult RunServeFuzz(const ServeFuzzOptions& options);
 //    for a pool of probe queries (granted / selected / accessible).
 //
 // Checkpoint cadence, torn-tail length, and segment size are drawn from
-// the seed, so the same harness covers replay-from-genesis, replay-from-
-// checkpoint, segment rolling, and torn-tail truncation.
+// the seed, so the same harness covers replay from the genesis (epoch-1)
+// checkpoint, replay from a later checkpoint, segment rolling, and
+// torn-tail truncation.
 struct RecoveryFuzzOptions {
   uint64_t seed = 1;
   int update_ops = 8;
   int subjects = 2;
   int query_probes = 12;
   InstanceOptions instance;
-  // Number of WAL records (the genesis install counts as one) that become
-  // durable before the simulated kill, in [0, update_ops + 1].
-  // -1 = drawn from the seed.
+  // Number of WAL batch records that become durable before the simulated
+  // kill, in [0, update_ops]; the genesis state is the epoch-1 checkpoint
+  // Start() writes, durable at every crash point.  -1 = drawn from the
+  // seed.
   int crash_point = -1;
   // Data directory for the run.  Empty = a unique directory under the
   // system temp dir, removed on success and kept (named in `failure`) on
@@ -105,7 +107,6 @@ struct RecoveryFuzzResult {
   int crash_point = 0;
   size_t durable_batches = 0;   // committed epochs the WAL retained
   size_t replayed_batches = 0;  // batches recovery replayed from the tail
-  bool recovered = false;       // false when the crash predates genesis
   size_t probes_checked = 0;
 };
 

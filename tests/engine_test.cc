@@ -8,6 +8,7 @@
 #include "engine/access_controller.h"
 #include "engine/native_backend.h"
 #include "engine/relational_backend.h"
+#include "policy/policy.h"
 #include "policy/semantics.h"
 #include "tests/testdata.h"
 #include "xml/parser.h"
@@ -214,6 +215,22 @@ TEST_P(ControllerTest, UpdateReannotatesPatients) {
   ASSERT_TRUE(after.ok()) << after.status();
   EXPECT_TRUE(after->granted);
   EXPECT_EQ(after->ids.size(), 3u);
+}
+
+// A re-annotation diffs against the sign state of record; a subject whose
+// policy was installed for recovery but whose signs were never restored
+// has none, and an update must fail loudly instead of writing signs that
+// snapshots and the WAL would then read from an invalid state.
+TEST_P(ControllerTest, UpdateWithoutRestoredSignsIsInternal) {
+  AccessController restored(MakeBackend(GetParam()));
+  ASSERT_TRUE(
+      restored.Load(testdata::kHospitalDtd, testdata::kHospitalDoc).ok());
+  auto policy = policy::ParsePolicy(testdata::kHospitalPolicy);
+  ASSERT_TRUE(policy.ok()) << policy.status();
+  ASSERT_TRUE(restored.SetPolicyForRecovery(std::move(*policy)).ok());
+  auto stats = restored.Update("//patient/treatment");
+  ASSERT_FALSE(stats.ok());
+  EXPECT_EQ(stats.status().code(), StatusCode::kInternal) << stats.status();
 }
 
 // A selector whose matches nest (patients > patient > treatment > regular)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -13,6 +14,8 @@
 
 #include "common/io.h"
 #include "storage/checkpoint.h"
+#include "storage/recovery.h"
+#include "storage/segment.h"
 #include "storage/wal.h"
 #include "engine/access_controller.h"
 #include "engine/multi_subject.h"
@@ -913,7 +916,7 @@ TEST(ServeDurabilityTest, CheckpointNowDuringConcurrentWrites) {
 TEST(ServeDurabilityTest, CheckpointNowRefusesAfterWalCrash) {
   std::string dir = DurableDir("ckpt_crash");
   ServerOptions opt = DurableOptions(dir);
-  opt.durability.crash_after_records = 1;  // genesis only; batch 1 "kills" it
+  opt.durability.crash_after_records = 0;  // batch 1 "kills" it
   auto server = MakeHospitalServer(opt);
   ASSERT_TRUE(server->Start().ok());
   ASSERT_TRUE(server->Update("//patient[psn=\"001\"]").status.ok());
@@ -952,6 +955,134 @@ TEST(ServeDurabilityTest, BackgroundCheckpointerTruncatesSegments) {
       workload::kHospitalSubjects[0].subject, "//patient");
   EXPECT_TRUE(resp.status.ok());
   server->Stop();
+  std::filesystem::remove_all(dir);
+}
+
+// A fresh durable start writes its genesis state as the epoch-1
+// checkpoint: the WAL holds batch records only, and a restart with no
+// commit in between recovers epoch 1 from the checkpoint alone.
+TEST(ServeDurabilityTest, FreshStartWritesGenesisCheckpoint) {
+  std::string dir = DurableDir("genesis");
+  {
+    auto server = MakeHospitalServer(DurableOptions(dir));
+    ASSERT_TRUE(server->Start().ok());
+    EXPECT_FALSE(server->recovered());
+    server->Stop();
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/checkpoint-000000000001.ckpt"));
+  auto contents = storage::ReadWalDir(dir);
+  ASSERT_TRUE(contents.ok()) << contents.status();
+  EXPECT_EQ(contents->records.size(), 0u);
+  EXPECT_GE(contents->segments, 1u);
+
+  auto server = std::make_unique<Server>(DurableOptions(dir));
+  ASSERT_TRUE(server->Start().ok());
+  EXPECT_TRUE(server->recovered());
+  EXPECT_EQ(server->epoch(), 1u);
+  EXPECT_EQ(server->SubjectNames().size(), workload::kHospitalSubjectCount);
+  server->Stop();
+  std::filesystem::remove_all(dir);
+}
+
+std::vector<std::string> DirListing(const std::string& dir) {
+  auto names = ListFiles(dir);
+  EXPECT_TRUE(names.ok()) << names.status();
+  if (!names.ok()) return {};
+  std::sort(names->begin(), names->end());
+  return *names;
+}
+
+void FlipByte(const std::string& path, size_t offset) {
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_LT(offset, bytes->size());
+  std::string damaged = *bytes;
+  damaged[offset] = static_cast<char>(damaged[offset] ^ 0x20);
+  ASSERT_TRUE(WriteFile(path, damaged).ok());
+}
+
+// Restarts `dir` the way an operator would (same configuration, durable
+// state expected to take over) and requires the start to be refused,
+// counted, and to leave the directory exactly as it was: nothing is acked
+// on top of the damage, by this start or the next.
+void ExpectRestartRefused(const std::string& dir, const ServerOptions& opt,
+                          const std::string& why) {
+  const std::vector<std::string> before = DirListing(dir);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto server = MakeHospitalServer(opt);
+    Status started = server->Start();
+    ASSERT_FALSE(started.ok()) << "attempt " << attempt << " came back at epoch "
+                               << server->epoch();
+    EXPECT_EQ(started.code(), StatusCode::kInternal);
+    EXPECT_NE(started.message().find(why), std::string::npos) << started;
+    EXPECT_FALSE(server->recovered());
+    EXPECT_FALSE(server->running());
+    EXPECT_EQ(server->SnapshotMetrics().counters["serve.recovery.refused"], 1u);
+    EXPECT_EQ(DirListing(dir), before);
+  }
+}
+
+// Acked commits past the last checkpoint, whose covered segments are
+// truncated, then every checkpoint damaged: there is no base to replay the
+// WAL onto, so the restart is refused — not a fresh start at epoch 1.
+TEST(ServeDurabilityTest, DamagedCheckpointRefusesStart) {
+  std::string dir = DurableDir("damaged_checkpoint");
+  ServerOptions opt = DurableOptions(dir);
+  opt.durability.segment_bytes = 4096;
+  {
+    auto server = MakeHospitalServer(opt);
+    ASSERT_TRUE(server->Start().ok());
+    for (int i = 1; i <= 10; ++i) {
+      char psn[16];
+      std::snprintf(psn, sizeof(psn), "%03d", i);
+      ASSERT_TRUE(
+          server->Update(std::string("//patient[psn=\"") + psn + "\"]")
+              .status.ok());
+    }
+    ASSERT_TRUE(server->CheckpointNow().ok());
+    ASSERT_TRUE(server->Update("//patient[psn=\"011\"]").status.ok());
+    EXPECT_EQ(server->epoch(), 12u);
+    server->Stop();
+  }
+  EXPECT_FALSE(
+      std::filesystem::exists(dir + "/checkpoint-000000000001.ckpt"));
+  size_t damaged = 0;
+  for (const std::string& name : DirListing(dir)) {
+    uint64_t epoch = 0;
+    if (!storage::ParseCheckpointFileName(name, &epoch)) continue;
+    FlipByte(dir + "/" + name, 20);
+    ++damaged;
+  }
+  ASSERT_GE(damaged, 1u);
+  ExpectRestartRefused(dir, opt, "no valid checkpoint");
+  std::filesystem::remove_all(dir);
+}
+
+// A flipped byte in a sealed WAL segment hides every acked commit after
+// it: the restart is refused, naming the segment, instead of serving the
+// prefix and appending new commits after the damage.
+TEST(ServeDurabilityTest, DamagedSealedSegmentRefusesStart) {
+  std::string dir = DurableDir("damaged_segment");
+  ServerOptions opt = DurableOptions(dir);
+  opt.durability.segment_bytes = 512;
+  {
+    auto server = MakeHospitalServer(opt);
+    ASSERT_TRUE(server->Start().ok());
+    for (int i = 1; i <= 10; ++i) {
+      char psn[16];
+      std::snprintf(psn, sizeof(psn), "%03d", i);
+      ASSERT_TRUE(
+          server->Update(std::string("//patient[psn=\"") + psn + "\"]")
+              .status.ok());
+    }
+    server->Stop();
+  }
+  auto contents = storage::ReadWalDir(dir);
+  ASSERT_TRUE(contents.ok()) << contents.status();
+  ASSERT_GE(contents->segments, 3u);
+  // The second segment's first frame fails its CRC.
+  FlipByte(dir + "/" + storage::SegmentFileName(2), 5);
+  ExpectRestartRefused(dir, opt, storage::SegmentFileName(2));
   std::filesystem::remove_all(dir);
 }
 

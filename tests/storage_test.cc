@@ -163,10 +163,10 @@ TEST(WalTest, AppendReopenRoundTrip) {
   ASSERT_TRUE(contents.ok()) << contents.status();
   EXPECT_EQ(contents->segments, 2u);
   EXPECT_EQ(contents->torn_segments, 0u);
-  EXPECT_FALSE(contents->stopped_early);
+  EXPECT_EQ(contents->damage, "");
   ASSERT_EQ(contents->records.size(), 3u);
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(contents->records[i].batch.epoch, i + 1);
+    EXPECT_EQ(contents->records[i].epoch, i + 1);
   }
   std::filesystem::remove_all(dir);
 }
@@ -202,8 +202,8 @@ TEST(WalTest, TornTailTruncatedOnReopen) {
   auto contents = ReadWalDir(dir);
   ASSERT_TRUE(contents.ok());
   ASSERT_EQ(contents->records.size(), 1u);
-  EXPECT_EQ(contents->records[0].kind, RecordKind::kBatch);
-  EXPECT_EQ(contents->records[0].batch.epoch, 1u);
+  EXPECT_EQ(contents->records[0].epoch, 1u);
+  EXPECT_EQ(contents->damage, "") << "a torn newest segment is no damage";
   std::filesystem::remove_all(dir);
 }
 
@@ -237,8 +237,8 @@ TEST(WalTest, SegmentRollingAndTruncateThrough) {
   ASSERT_FALSE(contents->records.empty());
   // Everything with marker > 5 must still be there, contiguously.
   uint64_t max_epoch = 0;
-  for (const WalRecord& record : contents->records) {
-    max_epoch = std::max(max_epoch, record.batch.epoch);
+  for (const BatchRecord& record : contents->records) {
+    max_epoch = std::max(max_epoch, record.epoch);
   }
   EXPECT_EQ(max_epoch, 10u);
   std::filesystem::remove_all(dir);
@@ -358,10 +358,10 @@ TEST(WalTest, ConcurrentAppendAndTruncate) {
   auto contents = ReadWalDir(dir);
   ASSERT_TRUE(contents.ok()) << contents.status();
   ASSERT_FALSE(contents->records.empty());
-  EXPECT_EQ(contents->records.back().batch.epoch, kRecords);
+  EXPECT_EQ(contents->records.back().epoch, kRecords);
   for (size_t i = 1; i < contents->records.size(); ++i) {
-    EXPECT_EQ(contents->records[i].batch.epoch,
-              contents->records[i - 1].batch.epoch + 1);
+    EXPECT_EQ(contents->records[i].epoch,
+              contents->records[i - 1].epoch + 1);
   }
   std::filesystem::remove_all(dir);
 }
@@ -378,30 +378,19 @@ TEST(WalTest, DurabilityLevelNames) {
 
 // ----- Record payload encoding -------------------------------------------
 
-TEST(RecordTest, InstallRoundTrip) {
-  InstallRecord install;
-  install.epoch = 1;
-  install.rule_cache_epoch = 17;
-  install.dtd_text = "<!ELEMENT r (#PCDATA)>";
-  install.master_binary = std::string("\x00\x01\x02", 3);
-  SubjectState subject;
-  subject.name = "alice";
-  subject.policy_text = "policy text";
-  subject.default_sign = '+';
-  subject.marked = {3, 5, 8};
-  install.subjects.push_back(subject);
-
-  auto decoded = DecodeRecord(EncodeInstallRecord(install));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ(decoded->kind, RecordKind::kInstall);
-  EXPECT_EQ(decoded->install.epoch, 1u);
-  EXPECT_EQ(decoded->install.rule_cache_epoch, 17u);
-  EXPECT_EQ(decoded->install.dtd_text, install.dtd_text);
-  EXPECT_EQ(decoded->install.master_binary, install.master_binary);
-  ASSERT_EQ(decoded->install.subjects.size(), 1u);
-  EXPECT_EQ(decoded->install.subjects[0].name, "alice");
-  EXPECT_EQ(decoded->install.subjects[0].default_sign, '+');
-  EXPECT_EQ(decoded->install.subjects[0].marked, subject.marked);
+// Kind 1 was the genesis install record, which the epoch-1 checkpoint
+// replaced; a payload of that kind is refused by name, never skipped.
+TEST(RecordTest, InstallKindIsRefused) {
+  std::string payload = EncodeBatchRecord(BatchRecord{});
+  payload[0] = 1;
+  auto decoded = DecodeBatchRecord(payload);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(decoded.status().message().find(
+                "genesis install records were replaced by the epoch-1 "
+                "checkpoint"),
+            std::string::npos)
+      << decoded.status();
 }
 
 TEST(RecordTest, BatchRoundTrip) {
@@ -412,31 +401,30 @@ TEST(RecordTest, BatchRoundTrip) {
   batch.deltas["alice"] = engine::SubjectDelta{{1, 2}, {3}};
   batch.deltas["bob"] = engine::SubjectDelta{{}, {7}};
 
-  auto decoded = DecodeRecord(EncodeBatchRecord(batch));
+  auto decoded = DecodeBatchRecord(EncodeBatchRecord(batch));
   ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ(decoded->kind, RecordKind::kBatch);
-  EXPECT_EQ(decoded->batch.epoch, 9u);
-  ASSERT_EQ(decoded->batch.ops.size(), 2u);
-  EXPECT_EQ(decoded->batch.ops[0].kind, engine::BatchOp::Kind::kDelete);
-  EXPECT_EQ(decoded->batch.ops[0].xpath, "//a[b=\"c\"]");
-  EXPECT_EQ(decoded->batch.ops[1].kind, engine::BatchOp::Kind::kInsert);
-  EXPECT_EQ(decoded->batch.ops[1].fragment_xml, "<b>x</b>");
-  ASSERT_EQ(decoded->batch.deltas.size(), 2u);
-  EXPECT_EQ(decoded->batch.deltas.at("alice").marked,
+  EXPECT_EQ(decoded->epoch, 9u);
+  ASSERT_EQ(decoded->ops.size(), 2u);
+  EXPECT_EQ(decoded->ops[0].kind, engine::BatchOp::Kind::kDelete);
+  EXPECT_EQ(decoded->ops[0].xpath, "//a[b=\"c\"]");
+  EXPECT_EQ(decoded->ops[1].kind, engine::BatchOp::Kind::kInsert);
+  EXPECT_EQ(decoded->ops[1].fragment_xml, "<b>x</b>");
+  ASSERT_EQ(decoded->deltas.size(), 2u);
+  EXPECT_EQ(decoded->deltas.at("alice").marked,
             (std::vector<engine::UniversalId>{1, 2}));
-  EXPECT_EQ(decoded->batch.deltas.at("alice").cleared,
+  EXPECT_EQ(decoded->deltas.at("alice").cleared,
             (std::vector<engine::UniversalId>{3}));
-  EXPECT_EQ(decoded->batch.deltas.at("bob").cleared,
+  EXPECT_EQ(decoded->deltas.at("bob").cleared,
             (std::vector<engine::UniversalId>{7}));
 }
 
 TEST(RecordTest, DecodeRejectsGarbage) {
-  EXPECT_FALSE(DecodeRecord("").ok());
-  EXPECT_FALSE(DecodeRecord("\x07garbage").ok());
+  EXPECT_FALSE(DecodeBatchRecord("").ok());
+  EXPECT_FALSE(DecodeBatchRecord("\x07garbage").ok());
   // A valid record with trailing bytes is rejected (AtEnd check).
   std::string padded = EncodeBatchRecord(BatchRecord{});
   padded += "x";
-  EXPECT_FALSE(DecodeRecord(padded).ok());
+  EXPECT_FALSE(DecodeBatchRecord(padded).ok());
 }
 
 // ----- Checkpoints -------------------------------------------------------
@@ -499,9 +487,11 @@ TEST(CheckpointTest, NewestValidWinsAndCorruptFallsBack) {
   ASSERT_TRUE(EnsureDirectory(dir).ok());
   ASSERT_TRUE(WriteCheckpoint(dir, SampleCheckpoint(5)).ok());
   ASSERT_TRUE(WriteCheckpoint(dir, SampleCheckpoint(9)).ok());
-  auto newest = ReadNewestCheckpoint(dir);
+  size_t skipped = 0;
+  auto newest = ReadNewestCheckpoint(dir, &skipped);
   ASSERT_TRUE(newest.ok());
   EXPECT_EQ(newest->epoch, 9u);
+  EXPECT_EQ(skipped, 0u);
 
   // Corrupt the newest file: reads fall back to the older valid one.
   std::string newest_path = dir + "/" + CheckpointFileName(9);
@@ -510,9 +500,10 @@ TEST(CheckpointTest, NewestValidWinsAndCorruptFallsBack) {
   std::string damaged = *bytes;
   damaged[damaged.size() / 2] ^= 0x20;
   ASSERT_TRUE(WriteFile(newest_path, damaged).ok());
-  newest = ReadNewestCheckpoint(dir);
+  newest = ReadNewestCheckpoint(dir, &skipped);
   ASSERT_TRUE(newest.ok());
   EXPECT_EQ(newest->epoch, 5u);
+  EXPECT_EQ(skipped, 1u) << "the fallback past the damaged file is counted";
 
   ASSERT_TRUE(RemoveCheckpointsBefore(dir, 9).ok());
   EXPECT_FALSE(ReadNewestCheckpoint(dir + "/nope").ok());
@@ -541,32 +532,41 @@ struct DurableRun {
   std::vector<std::pair<std::string, std::string>> subjects;
 };
 
-// Builds a WAL directory (genesis + one batch per op) while applying the
-// ops through `controller` normally; markers are the commit epochs.
+// The checkpoint a server would write for `controller`'s state at `epoch`.
+CheckpointData CaptureCheckpoint(engine::MultiSubjectController* controller,
+                                 const DurableRun& run, uint64_t epoch) {
+  CheckpointData data;
+  data.epoch = epoch;
+  data.rule_cache_epoch = controller->rule_cache().epoch();
+  data.dtd_text = xml::DtdToString(run.dtd);
+  controller->document().AppendBinary(&data.master_binary);
+  for (const auto& [name, policy] : run.subjects) {
+    auto* ac = controller->subject(name);
+    SubjectState subject;
+    subject.name = name;
+    subject.policy_text = policy;
+    subject.default_sign = ac->CurrentDefaultSign();
+    subject.marked = ac->ExportMarkedSigns();
+    data.subjects.push_back(std::move(subject));
+  }
+  return data;
+}
+
+// Builds a data directory as a durable server would — the genesis state
+// as the epoch-1 checkpoint, then one WAL batch record per op — while
+// applying the ops through `controller` normally; markers are the commit
+// epochs.
 void WriteRun(engine::MultiSubjectController* controller,
-              const std::vector<engine::BatchOp>& ops, const DurableRun& run) {
+              const std::vector<engine::BatchOp>& ops, const DurableRun& run,
+              size_t segment_bytes = 64u << 20) {
   WalOptions wopt;
   wopt.dir = run.dir;
   wopt.level = DurabilityLevel::kNone;
+  wopt.segment_bytes = segment_bytes;
   auto wal = Wal::Open(wopt);
   ASSERT_TRUE(wal.ok()) << wal.status();
-
-  InstallRecord install;
-  install.epoch = 1;
-  install.rule_cache_epoch = controller->rule_cache().epoch();
-  install.dtd_text = xml::DtdToString(run.dtd);
-  controller->document().AppendBinary(&install.master_binary);
-  for (const auto& [name, policy] : run.subjects) {
-    auto* ac = controller->subject(name);
-    ASSERT_NE(ac, nullptr);
-    SubjectState state;
-    state.name = name;
-    state.policy_text = policy;
-    state.default_sign = ac->CurrentDefaultSign();
-    state.marked = ac->ExportMarkedSigns();
-    install.subjects.push_back(std::move(state));
-  }
-  ASSERT_TRUE((*wal)->Append(1, EncodeInstallRecord(install)).ok());
+  ASSERT_TRUE(
+      WriteCheckpoint(run.dir, CaptureCheckpoint(controller, run, 1)).ok());
 
   uint64_t epoch = 1;
   for (const engine::BatchOp& op : ops) {
@@ -618,26 +618,6 @@ void SetUpRun(const DurableRun& run,
   }
 }
 
-// The checkpoint a server would write for `controller`'s state at `epoch`.
-CheckpointData CaptureCheckpoint(engine::MultiSubjectController* controller,
-                                 const DurableRun& run, uint64_t epoch) {
-  CheckpointData data;
-  data.epoch = epoch;
-  data.rule_cache_epoch = controller->rule_cache().epoch();
-  data.dtd_text = xml::DtdToString(run.dtd);
-  controller->document().AppendBinary(&data.master_binary);
-  for (const auto& [name, policy] : run.subjects) {
-    auto* ac = controller->subject(name);
-    SubjectState subject;
-    subject.name = name;
-    subject.policy_text = policy;
-    subject.default_sign = ac->CurrentDefaultSign();
-    subject.marked = ac->ExportMarkedSigns();
-    data.subjects.push_back(std::move(subject));
-  }
-  return data;
-}
-
 // What a structural join reads from `version` over `doc`: each alive
 // element's level, the order of all label endpoints (which fixes nesting
 // and document order), and the alive entries of every tag stream.
@@ -682,7 +662,6 @@ TEST(RecoveryTest, ReplayedStateMatchesLiveState) {
   auto state = RecoverState(run.dir, &recovered);
   ASSERT_TRUE(state.ok()) << state.status();
   ASSERT_TRUE(state->found);
-  EXPECT_FALSE(state->from_checkpoint);
   EXPECT_EQ(state->epoch, 1 + ops.size());
   EXPECT_EQ(state->replayed_batches, ops.size());
   EXPECT_EQ(state->dtd_text, xml::DtdToString(run.dtd));
@@ -710,7 +689,6 @@ TEST(RecoveryTest, ReplayFromCheckpointSkipsCoveredBatches) {
   auto state = RecoverState(run.dir, &recovered);
   ASSERT_TRUE(state.ok()) << state.status();
   ASSERT_TRUE(state->found);
-  EXPECT_TRUE(state->from_checkpoint);
   EXPECT_EQ(state->epoch, 3u);
   EXPECT_EQ(state->replayed_batches, 0u);
   EXPECT_EQ(engine::DiffFleetState(recovered, live), "");
@@ -758,7 +736,6 @@ TEST(RecoveryTest, RecoveredIndexMatchesFreshIndexAfterTail) {
   engine::MultiSubjectController recovered = MakeController();
   auto state = RecoverState(run.dir, &recovered);
   ASSERT_TRUE(state.ok()) << state.status();
-  EXPECT_TRUE(state->from_checkpoint);
   EXPECT_EQ(state->epoch, 4u);
   EXPECT_EQ(state->replayed_batches, 2u);
   EXPECT_EQ(engine::DiffFleetState(recovered, live), "");
@@ -825,14 +802,124 @@ TEST(RecoveryTest, InspectSummarizesDirectory) {
   WriteRun(&live, ops, run);
   auto summary = InspectWalDir(run.dir);
   ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_FALSE(summary->has_checkpoint);
+  EXPECT_TRUE(summary->has_checkpoint);
+  EXPECT_EQ(summary->checkpoint_epoch, 1u);
+  EXPECT_EQ(summary->checkpoints_skipped, 0u);
+  EXPECT_EQ(summary->refusal, "");
   EXPECT_EQ(summary->segments, 1u);
-  EXPECT_EQ(summary->install_records, 1u);
   EXPECT_EQ(summary->batch_records, 2u);
   EXPECT_EQ(summary->first_batch_epoch, 2u);
   EXPECT_EQ(summary->last_batch_epoch, 3u);
   EXPECT_EQ(summary->subjects.size(), 2u);
   std::filesystem::remove_all(run.dir);
+}
+
+void FlipByte(const std::string& path, size_t offset) {
+  auto bytes = ReadFile(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  ASSERT_LT(offset, bytes->size());
+  std::string damaged = *bytes;
+  damaged[offset] = static_cast<char>(damaged[offset] ^ 0x20);
+  ASSERT_TRUE(WriteFile(path, damaged).ok());
+}
+
+const std::vector<engine::BatchOp> kFourDeletes{
+    engine::BatchOp::Delete("//patient[psn=\"033\"]"),
+    engine::BatchOp::Delete("//patient[psn=\"042\"]/treatment"),
+    engine::BatchOp::Delete("//patient[psn=\"042\"]"),
+    engine::BatchOp::Delete("//patient/name"),
+};
+
+// Damage before the newest segment loses acknowledged commits after it:
+// recovery refuses instead of serving the prefix, naming the segment and
+// the last good epoch.
+TEST(RecoveryTest, DamagedSealedSegmentIsRefused) {
+  DurableRun run = HospitalRun("recover_damaged_segment");
+  engine::MultiSubjectController live = MakeController();
+  SetUpRun(run, &live);
+  WriteRun(&live, kFourDeletes, run, /*segment_bytes=*/64);
+  auto contents = ReadWalDir(run.dir);
+  ASSERT_TRUE(contents.ok()) << contents.status();
+  ASSERT_GE(contents->segments, 3u) << "every record rolls a segment";
+  // The second segment's frame header: its first record (epoch 3) fails
+  // its CRC, and the records of later segments are unreachable.
+  FlipByte(run.dir + "/" + SegmentFileName(2), 5);
+
+  engine::MultiSubjectController recovered = MakeController();
+  auto state = RecoverState(run.dir, &recovered);
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kInternal);
+  EXPECT_NE(state.status().message().find(SegmentFileName(2)),
+            std::string::npos)
+      << state.status();
+  EXPECT_NE(state.status().message().find("last good epoch 2"),
+            std::string::npos)
+      << state.status();
+  auto summary = InspectWalDir(run.dir);
+  ASSERT_TRUE(summary.ok()) << summary.status();
+  EXPECT_EQ(summary->refusal, state.status().message());
+  std::filesystem::remove_all(run.dir);
+}
+
+// WAL records (or damaged checkpoint files) with no valid checkpoint to
+// apply them to: recovery refuses rather than report an empty directory.
+TEST(RecoveryTest, NoValidCheckpointIsRefused) {
+  DurableRun run = HospitalRun("recover_no_checkpoint");
+  engine::MultiSubjectController live = MakeController();
+  SetUpRun(run, &live);
+  WriteRun(&live, kFourDeletes, run);
+  const std::string genesis = run.dir + "/" + CheckpointFileName(1);
+  FlipByte(genesis, 20);
+
+  engine::MultiSubjectController recovered = MakeController();
+  auto state = RecoverState(run.dir, &recovered);
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kInternal);
+  EXPECT_NE(state.status().message().find("no valid checkpoint"),
+            std::string::npos)
+      << state.status();
+
+  // The damaged checkpoint alone is refused too: it is durable state.
+  auto names = ListFiles(run.dir);
+  ASSERT_TRUE(names.ok()) << names.status();
+  for (const std::string& name : *names) {
+    uint64_t seq = 0;
+    if (ParseSegmentFileName(name, &seq)) {
+      std::filesystem::remove(run.dir + "/" + name);
+    }
+  }
+  state = RecoverState(run.dir, &recovered);
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kInternal);
+  std::filesystem::remove_all(run.dir);
+}
+
+// A directory written before genesis moved into the epoch-1 checkpoint: a
+// kind-1 genesis record and no checkpoint.  It is refused with the named
+// error, not recovered as empty.
+TEST(RecoveryTest, GenesisInstallRecordIsRefused) {
+  std::string dir = FreshDir("recover_old_format");
+  {
+    WalOptions wopt;
+    wopt.dir = dir;
+    wopt.level = DurabilityLevel::kNone;
+    auto wal = Wal::Open(wopt);
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    std::string install = EpochRecord(1);
+    install[0] = 1;  // the retired install kind
+    ASSERT_TRUE((*wal)->Append(1, install).ok());
+    ASSERT_TRUE((*wal)->Append(2, EpochRecord(2)).ok());
+  }
+  engine::MultiSubjectController recovered = MakeController();
+  auto state = RecoverState(dir, &recovered);
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kInternal);
+  EXPECT_NE(state.status().message().find(
+                "genesis install records were replaced by the epoch-1 "
+                "checkpoint"),
+            std::string::npos)
+      << state.status();
+  std::filesystem::remove_all(dir);
 }
 
 // ----- Crash-point fuzz harness ------------------------------------------
@@ -841,22 +928,36 @@ TEST(RecoveryTest, InspectSummarizesDirectory) {
 // the remaining seeds draw crash point, torn-tail length, segment size,
 // and checkpoint cadence at random (testing/serve_fuzz.h).
 TEST(RecoveryFuzzTest, CrashBeforeGenesisRecoversNothing) {
-  xmlac::testing::RecoveryFuzzOptions opt;
-  opt.seed = 7;
-  opt.crash_point = 0;
-  auto result = xmlac::testing::RunRecoveryFuzz(opt);
-  EXPECT_TRUE(result.ok) << result.failure;
-  EXPECT_FALSE(result.recovered);
+  // A kill while a fresh server writes its epoch-1 checkpoint leaves only
+  // the checkpoint's temp file (the rename never happened) next to an
+  // empty WAL segment: nothing durable, so the next start is fresh.
+  std::string dir = FreshDir("recover_pre_genesis");
+  {
+    WalOptions wopt;
+    wopt.dir = dir;
+    wopt.level = DurabilityLevel::kNone;
+    ASSERT_TRUE(Wal::Open(wopt).ok());
+  }
+  std::string partial = EncodeCheckpoint(SampleCheckpoint(1));
+  partial.resize(partial.size() / 2);
+  ASSERT_TRUE(
+      WriteFile(dir + "/" + CheckpointFileName(1) + ".tmp", partial).ok());
+  engine::MultiSubjectController recovered = MakeController();
+  auto state = RecoverState(dir, &recovered);
+  ASSERT_TRUE(state.ok()) << state.status();
+  EXPECT_FALSE(state->found);
+  EXPECT_EQ(state->checkpoints_skipped, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RecoveryFuzzTest, CrashRightAfterGenesis) {
   xmlac::testing::RecoveryFuzzOptions opt;
   opt.seed = 7;
-  opt.crash_point = 1;
+  opt.crash_point = 0;  // the epoch-1 checkpoint, no batch record
   auto result = xmlac::testing::RunRecoveryFuzz(opt);
   EXPECT_TRUE(result.ok) << result.failure;
-  EXPECT_TRUE(result.recovered);
   EXPECT_EQ(result.durable_batches, 0u);
+  EXPECT_EQ(result.replayed_batches, 0u);
 }
 
 TEST(RecoveryFuzzTest, RandomizedCrashPoints) {

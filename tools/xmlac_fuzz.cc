@@ -90,7 +90,8 @@ int Usage(const char* argv0) {
       "  --replay DIR          re-check an instance written by a past run\n"
       "  --shrink-attempts N   shrink budget in check invocations (2000)\n"
       "  --crash-after N       (serve mode) crash-recovery rounds: kill the\n"
-      "                        durable server after N WAL records, recover,\n"
+      "                        durable server after N WAL batch records,\n"
+      "                        recover from its checkpoint + WAL,\n"
       "                        check equivalence; -1 = random crash point\n"
       "  --torn-epochs         (serve mode) every other read holds its\n"
       "                        snapshot across a forced publication before\n"

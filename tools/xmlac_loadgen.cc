@@ -105,7 +105,8 @@ int Usage(const char* argv0) {
       "                              (recovers existing state on start)\n"
       "  --durability LEVEL          none|fdatasync|fsync (default fdatasync)\n"
       "  --checkpoint-every N        checkpoint every N batches (default 0 =\n"
-      "                              never; WAL replays from genesis)\n",
+      "                              never; recovery replays the WAL\n"
+      "                              from the epoch-1 checkpoint)\n",
       argv0);
   return 2;
 }

@@ -5,17 +5,19 @@
 // (or xmlac_loadgen --data-dir):
 //
 //   xmlac_recover --inspect DIR
-//       Print what the directory holds: newest checkpoint epoch, WAL
-//       segment count, torn segments, record counts and the committed
-//       epoch range — without materializing any state.
+//       Print what the directory holds: newest checkpoint epoch, damaged
+//       checkpoints skipped, WAL segment count, torn segments, record
+//       counts and the committed epoch range — without materializing any
+//       state.  Exits non-zero when recovery would refuse the directory.
 //
 //   xmlac_recover --verify DIR
 //       Recover the directory through the production decision-replay path,
 //       then independently re-annotate the recovered document from the
 //       recovered policy texts (full static annotation, the expensive path
 //       recovery exists to avoid) and require an identical document and
-//       identical per-subject signs (engine::DiffFleetState).  This cross-checks the WAL's recorded sign deltas
-//       against what policy evaluation would decide from scratch.
+//       identical per-subject signs (engine::DiffFleetState).  This
+//       cross-checks the WAL's recorded sign deltas against what policy
+//       evaluation would decide from scratch.
 //
 //   xmlac_recover --replay DIR [--out-xml FILE]
 //       Recover and report the re-materialized state (epoch, subjects,
@@ -71,11 +73,11 @@ int Inspect(const std::string& dir) {
     std::printf("checkpoint      epoch %llu\n",
                 static_cast<unsigned long long>(s.checkpoint_epoch));
   } else {
-    std::printf("checkpoint      none (replay from genesis)\n");
+    std::printf("checkpoint      none\n");
   }
+  std::printf("ckpts skipped   %zu\n", s.checkpoints_skipped);
   std::printf("wal segments    %zu (%zu torn)\n", s.segments, s.torn_segments);
-  std::printf("wal records     %zu install, %zu batch\n", s.install_records,
-              s.batch_records);
+  std::printf("wal records     %zu batch\n", s.batch_records);
   if (s.batch_records > 0) {
     std::printf("batch epochs    %llu..%llu\n",
                 static_cast<unsigned long long>(s.first_batch_epoch),
@@ -84,11 +86,11 @@ int Inspect(const std::string& dir) {
   std::printf("subjects        %zu", s.subjects.size());
   for (const std::string& name : s.subjects) std::printf(" %s", name.c_str());
   std::printf("\n");
-  if (s.stopped_early) {
-    std::printf("WARNING: corruption before the final segment; records after "
-                "the last good one were discarded\n");
+  if (!s.refusal.empty()) {
+    std::printf("REFUSED: %s\n", s.refusal.c_str());
+    return 1;
   }
-  return s.stopped_early ? 1 : 0;
+  return 0;
 }
 
 int Verify(const std::string& dir) {
@@ -137,11 +139,10 @@ int Verify(const std::string& dir) {
                  "re-annotation: %s\n",
                  diff.c_str());
   }
-  std::printf("verify %s: epoch %llu, %zu batches replayed %s, %zu subjects, "
-              "%s\n",
+  std::printf("verify %s: epoch %llu, %zu batches replayed, %zu checkpoints "
+              "skipped, %zu subjects, %s\n",
               dir.c_str(), static_cast<unsigned long long>(state->epoch),
-              state->replayed_batches,
-              state->from_checkpoint ? "from checkpoint" : "from genesis",
+              state->replayed_batches, state->checkpoints_skipped,
               state->subject_policies.size(),
               diff.empty() ? "no mismatch" : "MISMATCH");
   return diff.empty() ? 0 : 1;
@@ -161,11 +162,10 @@ int Replay(const std::string& dir, const std::string& out_xml) {
     return 0;
   }
   std::string xml = xmlac::xml::Serialize(recovered.document());
-  std::printf("replay %s: epoch %llu, %zu batches replayed %s, %zu subjects, "
-              "master %zu bytes\n",
+  std::printf("replay %s: epoch %llu, %zu batches replayed, %zu checkpoints "
+              "skipped, %zu subjects, master %zu bytes\n",
               dir.c_str(), static_cast<unsigned long long>(state->epoch),
-              state->replayed_batches,
-              state->from_checkpoint ? "from checkpoint" : "from genesis",
+              state->replayed_batches, state->checkpoints_skipped,
               state->subject_policies.size(), xml.size());
   if (!out_xml.empty()) {
     Status written = xmlac::WriteFile(out_xml, xml);
