@@ -1,6 +1,7 @@
 #include "common/io.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 namespace xmlac {
 
@@ -182,6 +184,43 @@ Status RemoveFileIfExists(std::string_view path) {
                             "': " + std::strerror(errno));
   }
   return Status::OK();
+}
+
+FileLock::FileLock(FileLock&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)) {}
+
+FileLock& FileLock::operator=(FileLock&& other) noexcept {
+  if (this != &other) {
+    Release();
+    fd_ = std::exchange(other.fd_, -1);
+  }
+  return *this;
+}
+
+Result<FileLock> FileLock::Acquire(std::string_view path) {
+  std::string p(path);
+  int fd = ::open(p.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::Internal("cannot open lock file '" + p +
+                            "': " + std::strerror(errno));
+  }
+  while (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    if (errno == EINTR) continue;
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      return Status::AlreadyExists("'" + p + "' is locked by another holder");
+    }
+    return Status::Internal("cannot lock '" + p + "': " + std::strerror(err));
+  }
+  return FileLock(fd);
+}
+
+void FileLock::Release() {
+  if (fd_ < 0) return;
+  // Closing the only descriptor of the file description drops the lock.
+  (void)::close(fd_);
+  fd_ = -1;
 }
 
 }  // namespace xmlac

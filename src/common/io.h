@@ -44,6 +44,32 @@ Result<std::vector<std::string>> ListFiles(std::string_view dir);
 // Deletes a file; OK when already absent.
 Status RemoveFileIfExists(std::string_view path);
 
+// An exclusive advisory lock (flock) on a file, held until Release() or
+// destruction.  Each Acquire opens its own file description, so two
+// holders conflict even inside one process; the kernel drops the lock when
+// the holding process dies, however it dies.
+class FileLock {
+ public:
+  FileLock() = default;
+  ~FileLock() { Release(); }
+  FileLock(FileLock&& other) noexcept;
+  FileLock& operator=(FileLock&& other) noexcept;
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+  // Creates `path` if missing and locks it without waiting; AlreadyExists
+  // when another holder has it.
+  static Result<FileLock> Acquire(std::string_view path);
+
+  bool held() const { return fd_ >= 0; }
+  // Unlocks and closes the file; the file itself stays.  Idempotent.
+  void Release();
+
+ private:
+  explicit FileLock(int fd) : fd_(fd) {}
+  int fd_ = -1;
+};
+
 }  // namespace xmlac
 
 #endif  // XMLAC_COMMON_IO_H_

@@ -1,9 +1,9 @@
 #include "engine/relational_backend.h"
 
 #include <algorithm>
+#include <tuple>
 #include <unordered_set>
 
-#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "shred/shredder.h"
@@ -15,10 +15,6 @@ using reldb::CompoundSelect;
 using reldb::Value;
 
 namespace {
-// The SetSigns gather loop visits every row slot with a hash probe each; a
-// smaller floor than the executor's scan because the probe dominates.
-constexpr size_t kGatherShardMinRows = 4096;
-
 // The id column of a SELECT result in ascending id (document) order.  A
 // span of its own: on large answers converting the result rows and freeing
 // them (inside the span, hence the explicit reset) is a visible share of a
@@ -178,53 +174,32 @@ Status RelationalBackend::SetSigns(const std::vector<UniversalId>& ids,
                                    char sign) {
   if (catalog_ == nullptr) return Status::Internal("backend not loaded");
   obs::ScopedSpan span("reldb.set_signs");
-  // Algorithm Annotate (Fig. 6): for every table, intersect the target ids
-  // with the table's ids, then issue one UPDATE per matching tuple.
-  std::unordered_set<UniversalId> target(ids.begin(), ids.end());
-  if (!ids.empty() && sign != uniform_sign_) uniform_sign_ = 0;
-  std::string set_sql(1, sign);
-  size_t sign_updates = 0;
-  for (const std::string& table_name : catalog_->TableNames()) {
-    reldb::Table* t = catalog_->GetTable(table_name);
-    size_t id_col = *t->schema().ColumnIndex(shred::kIdColumn);
-    std::vector<UniversalId> upids;
-    // The gather half of Fig. 6 splits into row ranges (const reads of an
-    // immutable-during-gather table); concatenating the per-range matches
-    // in range order reproduces the serial ascending-row order.  The point
-    // UPDATEs below stay serial — they are the cost the paper measures.
-    std::vector<ShardRange> ranges =
-        PlanShards(t->Capacity(), shard_, kGatherShardMinRows);
-    if (ranges.size() <= 1) {
-      for (reldb::RowIdx i = 0; i < t->Capacity(); ++i) {
-        if (!t->IsAlive(i)) continue;
-        UniversalId id = t->GetValue(i, id_col).AsInt();
-        if (target.count(id) > 0) upids.push_back(id);
-      }
-    } else {
-      std::vector<std::vector<UniversalId>> parts(ranges.size());
-      ParallelFor(ranges.size(), shard_.ResolvedThreads(), 1, [&](size_t k) {
-        for (reldb::RowIdx i = ranges[k].begin; i < ranges[k].end; ++i) {
-          if (!t->IsAlive(i)) continue;
-          UniversalId id = t->GetValue(i, id_col).AsInt();
-          if (target.count(id) > 0) parts[k].push_back(id);
-        }
-      });
-      for (const std::vector<UniversalId>& part : parts) {
-        upids.insert(upids.end(), part.begin(), part.end());
-      }
-    }
-    for (UniversalId id : upids) {
-      auto n = exec_->Query("UPDATE " + table_name + " SET " +
-                            shred::kSignColumn + " = '" + set_sql +
-                            "' WHERE " + shred::kIdColumn + " = " +
-                            std::to_string(id));
-      if (!n.ok()) return n.status();
-      ++sign_updates;
-    }
+  // Algorithm Annotate (Fig. 6): one point UPDATE per target tuple.  The
+  // directory names each tuple's table; an id without a tuple (a text node,
+  // a deleted tuple, an id past IdBound()) has nothing to update.
+  std::vector<std::tuple<uint32_t, uint32_t, UniversalId>> hits;
+  hits.reserve(ids.size());
+  for (UniversalId id : ids) {
+    auto e = Locate(id);
+    if (e.status().code() == StatusCode::kNotFound) continue;
+    if (!e.ok()) return e.status();
+    hits.emplace_back(e->table, e->row, id);
   }
-  obs::IncrementCounter("reldb.sign_updates", sign_updates);
+  // Table by table in catalog order, ascending rows within a table: the
+  // order a scan of every table would issue the UPDATEs in.
+  std::sort(hits.begin(), hits.end());
+  hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
+  if (!hits.empty() && sign != uniform_sign_) uniform_sign_ = 0;
+  std::string set_sql(1, sign);
+  for (const auto& [table, row, id] : hits) {
+    auto n = exec_->Query("UPDATE " + tables_[table].table->name() + " SET " +
+                          shred::kSignColumn + " = '" + set_sql + "' WHERE " +
+                          shred::kIdColumn + " = " + std::to_string(id));
+    if (!n.ok()) return n.status();
+  }
+  obs::IncrementCounter("reldb.sign_updates", hits.size());
   if (span.active()) {
-    span.AddCount("updates", static_cast<int64_t>(sign_updates));
+    span.AddCount("updates", static_cast<int64_t>(hits.size()));
   }
   return Status::OK();
 }

@@ -5,15 +5,15 @@
 //
 // The document is shredded à la ShreX into one table per element type;
 // queries run through the XPath-to-SQL translator and the reldb executor.
-// Sign updates follow Algorithm Annotate (paper Fig. 6): iterate over *all*
-// catalog tables, intersect each table's ids with the target set and issue
-// one point UPDATE per tuple — the deliberate tuple-at-a-time cost the
-// paper measures.
+// Sign updates follow Algorithm Annotate (paper Fig. 6): one point UPDATE
+// per target tuple, issued table by table — the deliberate tuple-at-a-time
+// cost the paper measures.
 //
-// Reading a tuple's sign is one lookup: the backend keeps an id directory,
-// universal id → (table, row), built in one scan at Load and maintained by
-// InsertUnder/DeleteWhere.  A directory entry that no longer names a live
-// row holding that id is an internal error (counted as
+// Reading or writing a tuple's sign starts with one lookup: the backend
+// keeps an id directory, universal id → (table, row), built in one scan at
+// Load and maintained by InsertUnder/DeleteWhere.  GetSign, SetSigns and
+// DeleteWhere resolve tuples through it.  A directory entry that no longer
+// names a live row holding that id is an internal error (counted as
 // reldb.directory_stale), never a reason to fall back to a scan.
 
 #include <cstdint>
@@ -67,9 +67,11 @@ class RelationalBackend final : public Backend {
   // must stay on one thread.
   bool SupportsParallelEval() const override { return false; }
 
-  // Shard-parallel execution (common/shard.h): SELECT seed scans and the
-  // Fig. 6 SetSigns gather loop split into contiguous row ranges merged in
-  // scan order.  Applied to the current executor and re-applied on Load.
+  // Shard-parallel execution (common/shard.h): SELECT seed scans split into
+  // contiguous row ranges merged in scan order, and Load's interval labels
+  // shard like the native index's.  Applied to the current executor and
+  // re-applied on Load.  SetSigns never scans (it reads the id directory),
+  // so it has nothing to shard.
   void SetShardConfig(const ShardConfig& shard) override;
 
   Result<std::vector<UniversalId>> EvaluateQuery(

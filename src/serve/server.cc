@@ -29,6 +29,9 @@ std::future<ServeResponse> ReadyResponse(Status status) {
 
 Status StoppedError() { return Status::Internal("server stopped"); }
 
+// The file in a data dir whose flock marks the dir as taken by a server.
+constexpr char kDataDirLock[] = "LOCK";
+
 }  // namespace
 
 Server::Server(ServerOptions options)
@@ -73,6 +76,20 @@ Status Server::AddSubject(std::string_view subject,
 Status Server::OpenDurability() {
   const DurabilityOptions& d = options_.durability;
   XMLAC_RETURN_IF_ERROR(EnsureDirectory(d.data_dir));
+  // One server per data dir: a second one would recover the first one's
+  // state, then both would append to the WAL and checkpoint over each
+  // other's acknowledged commits.  Held from here until Stop(); a refused
+  // recovery or WAL open releases it on the way out.
+  Result<FileLock> lock = FileLock::Acquire(d.data_dir + "/" + kDataDirLock);
+  if (!lock.ok()) {
+    if (lock.status().code() != StatusCode::kAlreadyExists) {
+      return lock.status();
+    }
+    obs::IncrementCounter("serve.data_dir.locked");
+    return Status::AlreadyExists("data dir '" + d.data_dir +
+                                 "' is in use by another server: " +
+                                 lock.status().message());
+  }
   Result<storage::RecoveredState> recovered =
       storage::RecoverState(d.data_dir, &controller_);
   if (!recovered.ok()) {
@@ -105,6 +122,7 @@ Status Server::OpenDurability() {
   wopt.crash_after_records = d.crash_after_records;
   wopt.torn_tail_bytes = d.torn_tail_bytes;
   XMLAC_ASSIGN_OR_RETURN(wal_, storage::Wal::Open(std::move(wopt)));
+  data_dir_lock_ = std::move(*lock);
   return Status::OK();
 }
 
@@ -189,6 +207,7 @@ void Server::Stop() {
         t.done.set_value(std::move(resp));
       }
       stopped_.store(true, std::memory_order_release);
+      data_dir_lock_.Release();
     }
     return;
   }
@@ -219,6 +238,8 @@ void Server::Stop() {
   // complete before anyone dumps or inspects it.
   if (recorder_ != nullptr) recorder_->Drain();
   running_.store(false, std::memory_order_release);
+  // Nothing writes to the data dir any more: another server may take it.
+  data_dir_lock_.Release();
 }
 
 void Server::DrainerLoop() {

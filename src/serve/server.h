@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/io.h"
 #include "common/timer.h"
 #include "engine/access_controller.h"
 #include "engine/multi_subject.h"
@@ -194,11 +195,14 @@ class Server {
   // found) and opens the WAL; the initial snapshot resumes at the
   // recovered epoch.  A fresh data_dir gets the configured state as its
   // epoch-1 checkpoint; a data_dir whose state cannot be recovered in full
-  // fails Start() (serve.recovery.refused) and is left untouched.
+  // fails Start() (serve.recovery.refused) and is left untouched.  A
+  // server holds data_dir/LOCK (flock) until Stop(): while another server
+  // holds it, Start() returns AlreadyExists (serve.data_dir.locked).
   Status Start();
 
-  // Closes both queues, drains pending requests and joins all threads.
-  // Every submitted future completes.  Idempotent.
+  // Closes both queues, drains pending requests, joins all threads and
+  // releases the data dir lock.  Every submitted future completes.
+  // Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -313,8 +317,9 @@ class Server {
   void DrainerLoop();
   void CheckpointerLoop();
 
-  // Recovery + WAL open; sets recovered_/loaded_ when durable state exists.
-  // A directory whose state cannot be recovered in full is an error.
+  // Dir lock, recovery + WAL open; sets recovered_/loaded_ when durable
+  // state exists.  A directory locked by another server, or whose state
+  // cannot be recovered in full, is an error.
   Status OpenDurability();
   // Serializes `document` and `subjects` as the checkpoint at `epoch` and
   // writes it atomically, then removes older checkpoints and truncates the
@@ -369,6 +374,8 @@ class Server {
   bool drainer_stop_ = false;
 
   // --- Durability ----------------------------------------------------------
+  // flock on <data_dir>/LOCK, from OpenDurability until Stop().
+  FileLock data_dir_lock_;
   std::unique_ptr<storage::Wal> wal_;
   // Retained configuration sources, for checkpoints: the
   // DTD's text form and each subject's policy text (only mutated before

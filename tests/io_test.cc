@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
 
 #include "common/random.h"
 #include "common/timer.h"
@@ -152,6 +153,35 @@ TEST(IoTest, EnsureDirectoryAndListFiles) {
   ASSERT_EQ(files->size(), 2u);
   std::remove((dir + "/a.log").c_str());
   std::remove((dir + "/b.log").c_str());
+}
+
+TEST(IoTest, FileLockIsExclusiveUntilReleased) {
+  std::string path = TempPath("lock");
+  std::remove(path.c_str());
+  auto first = FileLock::Acquire(path);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_TRUE(first->held());
+  // A second holder in the same process still conflicts: each Acquire
+  // opens its own file description.
+  auto second = FileLock::Acquire(path);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kAlreadyExists)
+      << second.status();
+  // Moving the lock keeps it held; releasing the new owner frees it.
+  FileLock moved = std::move(*first);
+  EXPECT_FALSE(first->held());
+  EXPECT_FALSE(FileLock::Acquire(path).ok());
+  moved.Release();
+  EXPECT_FALSE(moved.held());
+  auto third = FileLock::Acquire(path);
+  EXPECT_TRUE(third.ok()) << third.status();
+  std::remove(path.c_str());
+}
+
+TEST(IoTest, FileLockInMissingDirectoryFails) {
+  auto lock = FileLock::Acquire("/nonexistent/dir/LOCK");
+  ASSERT_FALSE(lock.ok());
+  EXPECT_EQ(lock.status().code(), StatusCode::kInternal) << lock.status();
 }
 
 TEST(RandomTest, DeterministicPerSeed) {

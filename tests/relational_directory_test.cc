@@ -1,8 +1,9 @@
 // The relational backend's id directory (universal id → table, row): it
 // must equal a directory rebuilt from a catalog scan after every load,
-// insert and delete, and GetSign must read through it — NotFound for
-// deleted tuples, a loud Internal for an entry a foreign SQL statement made
-// stale, and the same answers with or without the id/pid hash indexes.
+// insert and delete, and GetSign and SetSigns must read through it —
+// NotFound (GetSign) or nothing to update (SetSigns) for ids without a
+// tuple, a loud Internal for an entry a foreign SQL statement made stale,
+// and the same answers with or without the id/pid hash indexes.
 
 #include <gtest/gtest.h>
 
@@ -153,6 +154,82 @@ TEST_P(DirectoryTest, DeleteBehindTheBackendIsAStaleInternalError) {
   for (size_t i = 1; i < psns->size(); ++i) {
     EXPECT_TRUE(backend.GetSign((*psns)[i]).ok());
   }
+}
+
+// SetSigns resolves every target through the directory: only ids with a
+// live tuple get a point UPDATE.  A text-node id, a deleted tuple and ids
+// outside [0, IdBound()) have nothing to update, and a repeated id is
+// updated once.
+TEST_P(DirectoryTest, SetSignsUpdatesOnlyTuplesTheDirectoryHolds) {
+  RelationalBackend backend(Options(GetParam()));
+  LoadHospital(&backend);
+  UniversalId text_id = -1;
+  for (size_t id = 0; id < backend.IdBound() && text_id < 0; ++id) {
+    if (!backend.GetSign(static_cast<UniversalId>(id)).ok()) {
+      text_id = static_cast<UniversalId>(id);
+    }
+  }
+  ASSERT_GE(text_id, 0) << "the hospital document has text nodes";
+  auto live = backend.EvaluateQuery(MustParse("//patient[psn=\"033\"]/name"));
+  ASSERT_TRUE(live.ok()) << live.status();
+  ASSERT_EQ(live->size(), 1u);
+  auto doomed = backend.EvaluateQuery(MustParse("//patient[psn=\"099\"]"));
+  ASSERT_TRUE(doomed.ok()) << doomed.status();
+  ASSERT_EQ(doomed->size(), 1u);
+  ASSERT_TRUE(backend.DeleteWhere(MustParse("//patient[psn=\"099\"]")).ok());
+  ASSERT_EQ(*backend.GetSign(live->front()), '-');
+
+  obs::MetricsRegistry registry;
+  obs::ScopedMetrics scoped(&registry);
+  backend.executor()->ResetStats();
+  const auto bound = static_cast<UniversalId>(backend.IdBound());
+  ASSERT_TRUE(backend
+                  .SetSigns({text_id, doomed->front(), live->front(), bound,
+                             -1, live->front()},
+                            '+')
+                  .ok());
+  EXPECT_EQ(registry.counter("reldb.sign_updates")->value(), 1u);
+  EXPECT_EQ(backend.executor()->stats().statements, 1u);
+  EXPECT_EQ(registry.counter("reldb.directory_stale")->value(), 0u);
+  EXPECT_EQ(*backend.GetSign(live->front()), '+');
+  EXPECT_TRUE(backend.VerifyDirectory().ok()) << backend.VerifyDirectory();
+}
+
+TEST_P(DirectoryTest, SetSignsOfNoIdsRunsNoStatement) {
+  RelationalBackend backend(Options(GetParam()));
+  LoadHospital(&backend);
+  obs::MetricsRegistry registry;
+  obs::ScopedMetrics scoped(&registry);
+  backend.executor()->ResetStats();
+  ASSERT_TRUE(backend.SetSigns({}, '+').ok());
+  EXPECT_EQ(backend.executor()->stats().statements, 0u);
+  EXPECT_EQ(backend.executor()->stats().rows_scanned, 0u);
+  EXPECT_EQ(registry.counter("reldb.sign_updates")->value(), 0u);
+}
+
+// A stale entry among the targets fails SetSigns as a whole, loudly and
+// before any UPDATE: a scan that skipped the vanished tuple would have
+// answered OK.
+TEST_P(DirectoryTest, DeleteBehindTheBackendFailsSetSignsWhole) {
+  RelationalBackend backend(Options(GetParam()));
+  LoadHospital(&backend);
+  auto psns = backend.EvaluateQuery(MustParse("//psn"));
+  ASSERT_TRUE(psns.ok());
+  ASSERT_GE(psns->size(), 2u);
+  const UniversalId victim = psns->back();
+  auto sql = backend.executor()->Query("DELETE FROM psn WHERE id = " +
+                                       std::to_string(victim));
+  ASSERT_TRUE(sql.ok()) << sql.status();
+
+  obs::MetricsRegistry registry;
+  obs::ScopedMetrics scoped(&registry);
+  backend.executor()->ResetStats();
+  Status st = backend.SetSigns({psns->front(), victim}, '+');
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+  EXPECT_EQ(registry.counter("reldb.directory_stale")->value(), 1u);
+  EXPECT_EQ(backend.executor()->stats().statements, 0u);
+  EXPECT_EQ(*backend.GetSign(psns->front()), '-');
 }
 
 TEST_P(DirectoryTest, InsertBehindTheBackendFailsDeleteWhereWhole) {

@@ -1086,6 +1086,44 @@ TEST(ServeDurabilityTest, DamagedSealedSegmentRefusesStart) {
   std::filesystem::remove_all(dir);
 }
 
+// Two servers on one data dir would each append to the WAL and checkpoint
+// over the other's acked commits; the second one must not start while the
+// first holds the dir, and must start once the first has stopped.
+TEST(ServeDurabilityTest, SecondServerOnLockedDataDirFailsToStart) {
+  std::string dir = DurableDir("locked");
+  ServerOptions opt = DurableOptions(dir);
+  auto first = MakeHospitalServer(opt);
+  ASSERT_TRUE(first->Start().ok());
+  ASSERT_TRUE(first->Update("//patient[psn=\"001\"]").status.ok());
+  const std::vector<std::string> before = DirListing(dir);
+  EXPECT_NE(std::find(before.begin(), before.end(), "LOCK"), before.end());
+
+  auto second = MakeHospitalServer(opt);
+  Status started = second->Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.code(), StatusCode::kAlreadyExists) << started;
+  EXPECT_NE(started.message().find(dir), std::string::npos) << started;
+  EXPECT_FALSE(second->running());
+  EXPECT_FALSE(second->recovered());
+  EXPECT_EQ(second->SnapshotMetrics().counters["serve.data_dir.locked"], 1u);
+  EXPECT_EQ(second->SnapshotMetrics().counters["serve.recovery.refused"], 0u);
+  EXPECT_EQ(DirListing(dir), before);
+  // The first server is unaffected and keeps committing.
+  ASSERT_TRUE(first->Update("//patient[psn=\"002\"]").status.ok());
+  const std::map<std::string, std::vector<uint64_t>> committed =
+      ProbeAll(first.get());
+  first->Stop();
+
+  // Once the first server has stopped, the same second server starts and
+  // recovers everything the first one acked.
+  ASSERT_TRUE(second->Start().ok());
+  EXPECT_TRUE(second->recovered());
+  EXPECT_EQ(second->epoch(), 3u);
+  EXPECT_EQ(ProbeAll(second.get()), committed);
+  second->Stop();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ServeDurabilityTest, NoDataDirMeansNoWal) {
   auto server = MakeHospitalServer(SmallOptions());
   ASSERT_TRUE(server->Start().ok());

@@ -348,7 +348,8 @@ TEST(RelationalShardTest, AnnotationSetsMatchSerial) {
       if (a.ok()) EXPECT_EQ(*a, *b);
     }
 
-    // Sharded SetSigns gather == serial (signs land identically).
+    // SetSigns resolves ids through the directory and never shards; a
+    // sharded backend still lands the same signs as a serial one.
     auto targets = serial->EvaluateAnnotationSet(
         *policy, all_rules, policy::CombineOp::kGrants);
     ASSERT_TRUE(targets.ok());

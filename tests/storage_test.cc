@@ -791,6 +791,30 @@ TEST(RecoveryTest, EmptyDirectoryRecoversNothing) {
   std::filesystem::remove_all(dir);
 }
 
+// A server's data dir lock file is not durable state: a directory holding
+// only LOCK, held or not, is fresh to recovery and to inspection.
+TEST(RecoveryTest, LockFileAloneIsFresh) {
+  std::string dir = FreshDir("recover_lock_only");
+  ASSERT_TRUE(EnsureDirectory(dir).ok());
+  auto lock = FileLock::Acquire(dir + "/LOCK");
+  ASSERT_TRUE(lock.ok()) << lock.status();
+  for (bool held : {true, false}) {
+    if (!held) lock->Release();
+    engine::MultiSubjectController controller = MakeController();
+    auto state = RecoverState(dir, &controller);
+    ASSERT_TRUE(state.ok()) << state.status();
+    EXPECT_FALSE(state->found) << "held " << held;
+    auto summary = InspectWalDir(dir);
+    ASSERT_TRUE(summary.ok()) << summary.status();
+    EXPECT_FALSE(summary->has_checkpoint);
+    EXPECT_EQ(summary->refusal, "");
+    EXPECT_EQ(summary->segments, 0u);
+    EXPECT_EQ(summary->batch_records, 0u);
+  }
+  EXPECT_EQ(ListFiles(dir).value(), std::vector<std::string>{"LOCK"});
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RecoveryTest, InspectSummarizesDirectory) {
   DurableRun run = HospitalRun("recover_inspect");
   engine::MultiSubjectController live = MakeController();
