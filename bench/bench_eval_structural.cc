@@ -63,7 +63,6 @@ struct QueryPoint {
 QueryPoint RunQuery(const xpath::Path& path, const xml::Document& doc,
                     const xpath::IndexVersion& index, int reps) {
   xpath::EvaluatorOptions structural;
-  structural.use_structural_index = true;
   structural.index = &index;
 
   QueryPoint out;

@@ -1,31 +1,40 @@
 #ifndef XMLAC_COMMON_SHARD_H_
 #define XMLAC_COMMON_SHARD_H_
 
-// Exchange-style shard planner (docs/performance.md, "Shard-parallel
-// execution").
+// Exchange-style shard planner and runner (docs/performance.md,
+// "Shard-parallel execution").
 //
-// Every parallel site in the engine follows the same shape: partition an
+// Every parallel site in the engine has the same shape: partition an
 // ordered input (a start-sorted context set, the words of a node bitmap,
 // the row range of a table, the top-level subtrees of a document) into
-// contiguous ranges, run the ranges through ParallelFor (the caller plus
-// persistent pool workers), and merge the per-range outputs by
-// concatenating them in range order.  Because every
-// shard key is aligned with the output order — interval start labels are
-// pre-order, bitmap words own disjoint id ranges, row indices are scan
+// contiguous ranges, run one body per range, and merge the per-range
+// outputs by concatenating them in range order.  Because every shard key
+// is aligned with the output order — interval start labels are pre-order,
+// bitmap words own disjoint ascending id ranges, row indices are scan
 // order — concatenation IS the order-preserving merge, and the sharded
-// result is byte-identical to the serial one (the differential harness
-// checks this on every fuzz sweep).
+// result is byte-identical to the serial one (shard_parallel_test and the
+// differential harness's /shard side check this).
 //
-// PlanShards is the one policy point: it decides between a single serial
-// range and k contiguous ranges based on the input size (or the call site's
+// PlanShards is the one policy point: it decides between a single range
+// and k contiguous ranges based on the input size (or the call site's
 // estimate of its work), the configured work threshold, and
-// DefaultParallelism().
+// DefaultParallelism().  RunShards is the one execution path: a site
+// keeps one loop body, and the serial case is simply the plan with one
+// range, run inline on the caller.
 
 #include <algorithm>
 #include <cstddef>
+#include <iterator>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace xmlac {
 
@@ -83,6 +92,55 @@ inline std::vector<ShardRange> PlanShards(size_t n, size_t work,
 inline std::vector<ShardRange> PlanShards(size_t n, const ShardConfig& config,
                                           size_t default_min_work = 1) {
   return PlanShards(n, n, config, default_min_work);
+}
+
+// Where a fan-out is counted and traced: a run over more than one range
+// adds 1 to `<counters>.shard.fanouts` and the range count to
+// `<counters>.shard.shards`, inside a span named `span` when one is given.
+struct ShardSite {
+  std::string_view counters;
+  const char* span = nullptr;
+};
+
+// The order-preserving shard runner.  Runs body(k) for every range k of
+// `ranges` (a PlanShards plan) on ParallelFor with up to
+// config.ResolvedThreads() participants; a single range runs inline on the
+// caller.  `body` returns a std::vector, and the result is the per-range
+// vectors concatenated in range order (a lone part is moved out, never
+// copied), or void when each range writes its own disjoint slice of a
+// shared output.
+template <typename Body>
+auto RunShards(const std::vector<ShardRange>& ranges, const ShardConfig& config,
+               const ShardSite& site, Body&& body)
+    -> std::invoke_result_t<Body&, size_t> {
+  using Part = std::invoke_result_t<Body&, size_t>;
+  std::optional<obs::ScopedSpan> span;
+  if (ranges.size() > 1) {
+    if (site.span != nullptr) span.emplace(site.span);
+    obs::IncrementCounter(std::string(site.counters) + ".shard.fanouts");
+    obs::IncrementCounter(std::string(site.counters) + ".shard.shards",
+                          ranges.size());
+    if (span && span->active()) {
+      span->AddCount("shards", static_cast<int64_t>(ranges.size()));
+    }
+  }
+  if constexpr (std::is_void_v<Part>) {
+    ParallelFor(ranges.size(), config.ResolvedThreads(), 1, body);
+  } else {
+    std::vector<Part> parts(ranges.size());
+    ParallelFor(ranges.size(), config.ResolvedThreads(), 1,
+                [&](size_t k) { parts[k] = body(k); });
+    if (parts.size() == 1) return std::move(parts[0]);
+    Part out;
+    size_t total = 0;
+    for (const Part& part : parts) total += part.size();
+    out.reserve(total);
+    for (Part& part : parts) {
+      out.insert(out.end(), std::make_move_iterator(part.begin()),
+                 std::make_move_iterator(part.end()));
+    }
+    return out;
+  }
 }
 
 }  // namespace xmlac

@@ -114,54 +114,50 @@ Result<std::vector<RuleScopeCache::BitmapPtr>> RuleScopes(
 // fan-out pays for its fork-join round trip.
 constexpr size_t kBitmapShardMinWords = 2048;
 
-// Word-range-parallel sign diff.  Word ranges own disjoint ascending id
-// ranges, so per-range outputs concatenated in range order are exactly the
-// serial DifferenceInto output.
-void ShardedDifference(const NodeBitmap& a, const NodeBitmap& b,
-                       const ShardConfig& shard,
-                       std::vector<UniversalId>* out) {
+// Runs body(word_begin, word_end) over the word ranges of a `words`-word
+// bitmap operation and concatenates what the ranges return.  Word ranges
+// own disjoint ascending id ranges, so each word is written by exactly one
+// range and the concatenation is the serial output.
+template <typename Body>
+auto RunWordRanges(size_t words, const ShardConfig& shard, const char* span,
+                   Body&& body) {
   std::vector<ShardRange> ranges =
-      PlanShards(a.word_count(), shard, kBitmapShardMinWords);
-  if (ranges.size() <= 1) {
-    a.DifferenceInto(b, out);
-    return;
-  }
-  std::vector<std::vector<UniversalId>> parts(ranges.size());
-  ParallelFor(ranges.size(), shard.ResolvedThreads(), 1, [&](size_t k) {
-    a.DifferenceInto(b, &parts[k], ranges[k].begin, ranges[k].end);
+      PlanShards(words, shard, kBitmapShardMinWords);
+  return RunShards(ranges, shard, {"annotator", span}, [&](size_t k) {
+    return body(ranges[k].begin, ranges[k].end);
   });
-  for (const auto& part : parts) {
-    out->insert(out->end(), part.begin(), part.end());
-  }
 }
 
-// acc |= union of all scopes, word-range-parallel.  Each word has exactly
-// one owning shard, so the concurrent ORs are race-free after EnsureWords.
+// The sign diff: the ids set in `a` but clear in `b`, ascending.
+std::vector<UniversalId> ShardedDifference(const NodeBitmap& a,
+                                           const NodeBitmap& b,
+                                           const ShardConfig& shard) {
+  auto diff_range = [&](size_t wb, size_t we) {
+    std::vector<UniversalId> part;
+    a.DifferenceInto(b, &part, wb, we);
+    return part;
+  };
+  return RunWordRanges(a.word_count(), shard, nullptr, diff_range);
+}
+
+// acc |= union of all scopes.  EnsureWords first, so the ranges' ORs never
+// resize the word vector.
 void ShardedUnion(NodeBitmap* acc,
                   const std::vector<RuleScopeCache::BitmapPtr>& scopes,
                   const ShardConfig& shard) {
   size_t words = acc->word_count();
   for (const auto& s : scopes) words = std::max(words, s->word_count());
   acc->EnsureWords(words);
-  auto combine_range = [&](size_t wb, size_t we) {
+  RunWordRanges(words, shard, nullptr, [&](size_t wb, size_t we) {
     for (const auto& s : scopes) acc->UnionRange(*s, wb, we);
-  };
-  std::vector<ShardRange> ranges =
-      PlanShards(words, shard, kBitmapShardMinWords);
-  if (ranges.size() <= 1) {
-    combine_range(0, words);
-    return;
-  }
-  ParallelFor(ranges.size(), shard.ResolvedThreads(), 1, [&](size_t k) {
-    combine_range(ranges[k].begin, ranges[k].end);
   });
 }
 
 // The Fig. 5 / Table 2 combination over per-rule bitmaps: UNION of the
 // base-effect scopes as word-wise OR, EXCEPT of the opposing scopes as
-// word-wise AND-NOT.  Word-range partitioned: every word of base/minus is
-// written by exactly one shard, and the EXCEPT subtracts only words its own
-// shard fully built, so the sharded result is bit-identical to serial.
+// word-wise AND-NOT.  Every word of base/minus is written by exactly one
+// word range, and the EXCEPT subtracts only words its own range fully
+// built, so the sharded result is bit-identical to serial.
 NodeBitmap CombineScopes(const policy::Policy& policy,
                          const std::vector<size_t>& subset,
                          const std::vector<RuleScopeCache::BitmapPtr>& scopes,
@@ -188,21 +184,7 @@ NodeBitmap CombineScopes(const policy::Policy& policy,
     }
     if (has_except) base.SubtractRange(minus, wb, we);
   };
-  std::vector<ShardRange> ranges =
-      PlanShards(words, shard, kBitmapShardMinWords);
-  if (ranges.size() <= 1) {
-    combine_range(0, words);
-  } else {
-    obs::ScopedSpan span("annotate.shard_combine");
-    ParallelFor(ranges.size(), shard.ResolvedThreads(), 1, [&](size_t k) {
-      combine_range(ranges[k].begin, ranges[k].end);
-    });
-    obs::IncrementCounter("annotator.shard.fanouts");
-    obs::IncrementCounter("annotator.shard.shards", ranges.size());
-    if (span.active()) {
-      span.AddCount("shards", static_cast<int64_t>(ranges.size()));
-    }
-  }
+  RunWordRanges(words, shard, "annotate.shard_combine", combine_range);
   return base;
 }
 
@@ -219,15 +201,15 @@ Status ApplySigns(Backend* backend, char mark, char def,
                   AnnotateStats* stats) {
   if (state != nullptr && state->valid && state->default_sign == def) {
     std::vector<UniversalId> to_default;
-    std::vector<UniversalId> to_mark;
     if (affected != nullptr) {
       NodeBitmap current = state->marked;
       current.Intersect(*affected);
-      ShardedDifference(current, desired, shard, &to_default);
+      to_default = ShardedDifference(current, desired, shard);
     } else {
-      ShardedDifference(state->marked, desired, shard, &to_default);
+      to_default = ShardedDifference(state->marked, desired, shard);
     }
-    ShardedDifference(desired, state->marked, shard, &to_mark);
+    std::vector<UniversalId> to_mark =
+        ShardedDifference(desired, state->marked, shard);
     {
       obs::ScopedSpan diff_span("annotate.sign_diff");
       XMLAC_RETURN_IF_ERROR(backend->SetSigns(to_default, def));

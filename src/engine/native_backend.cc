@@ -50,7 +50,6 @@ xpath::EvaluatorOptions NativeXmlBackend::EvalOptions() const {
   // The writer published a fresh version before its mutating call
   // returned, so this is never stale in steady state, and a reader never
   // syncs, rebuilds, or waits here.
-  options.use_structural_index = true;
   options.index = structural_index_.current();
   return options;
 }

@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/parallel.h"
+#include "common/shard.h"
 #include "obs/metrics.h"
 
 namespace xmlac::reldb {
@@ -393,66 +393,36 @@ Result<ResultSet> Executor::ExecuteSingleSelect(const SelectQuery& q) {
   std::vector<TupleRows> tuples;
   {
     Table* t = slots[0].table;
+    // Row ranges scan concurrently (Table reads and ExprEvaluator are
+    // const); per-range tuples concatenate in scan order, and the first
+    // range's error wins, as in one ascending scan.
     std::vector<ShardRange> ranges =
         PlanShards(t->Capacity(), shard_, kScanShardMinRows);
-    if (ranges.size() <= 1) {
-      tuples.reserve(t->AliveCount());
-      for (RowIdx i = 0; i < t->Capacity(); ++i) {
+    std::vector<Status> statuses(ranges.size(), Status::OK());
+    tuples = RunShards(ranges, shard_, {"reldb"}, [&](size_t k) {
+      std::vector<TupleRows> part;
+      part.reserve(std::min(ranges[k].size(), t->AliveCount()));
+      for (RowIdx i = ranges[k].begin; i < ranges[k].end; ++i) {
         if (!t->IsAlive(i)) continue;
-        ++stats_.rows_scanned;
         TupleRows tup = {i};
         bool pass = true;
         for (const Expr* f : plans[0].filters) {
-          XMLAC_ASSIGN_OR_RETURN(bool ok, eval.EvalBool(*f, tup));
-          if (!ok) {
+          Result<bool> ok = eval.EvalBool(*f, tup);
+          if (!ok.ok()) {
+            statuses[k] = ok.status();
+            return part;
+          }
+          if (!*ok) {
             pass = false;
             break;
           }
         }
-        if (pass) tuples.push_back(std::move(tup));
+        if (pass) part.push_back(std::move(tup));
       }
-    } else {
-      // Shard-parallel sub-scans over contiguous row ranges (Table reads
-      // and ExprEvaluator are const); per-range tuples concatenated in
-      // range order reproduce the serial scan order exactly.  Stats and
-      // errors accumulate per range and merge after the join (first range's
-      // error wins, matching the serial ascending scan).
-      std::vector<std::vector<TupleRows>> parts(ranges.size());
-      std::vector<uint64_t> scanned(ranges.size(), 0);
-      std::vector<Status> statuses(ranges.size(), Status::OK());
-      ParallelFor(ranges.size(), shard_.ResolvedThreads(), 1, [&](size_t k) {
-        for (RowIdx i = ranges[k].begin; i < ranges[k].end; ++i) {
-          if (!t->IsAlive(i)) continue;
-          ++scanned[k];
-          TupleRows tup = {i};
-          bool pass = true;
-          for (const Expr* f : plans[0].filters) {
-            Result<bool> ok = eval.EvalBool(*f, tup);
-            if (!ok.ok()) {
-              statuses[k] = ok.status();
-              return;
-            }
-            if (!*ok) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) parts[k].push_back(std::move(tup));
-        }
-      });
-      size_t total = 0;
-      for (size_t k = 0; k < ranges.size(); ++k) {
-        XMLAC_RETURN_IF_ERROR(statuses[k]);
-        stats_.rows_scanned += scanned[k];
-        total += parts[k].size();
-      }
-      tuples.reserve(total);
-      for (std::vector<TupleRows>& part : parts) {
-        for (TupleRows& tup : part) tuples.push_back(std::move(tup));
-      }
-      obs::IncrementCounter("reldb.shard.scans");
-      obs::IncrementCounter("reldb.shard.shards", ranges.size());
-    }
+      return part;
+    });
+    for (const Status& status : statuses) XMLAC_RETURN_IF_ERROR(status);
+    stats_.rows_scanned += t->AliveCount();
   }
 
   // Join in remaining slots.

@@ -73,11 +73,10 @@ class Executor {
   void ResetStats() { stats_ = ExecStats(); }
 
   // Shard-parallel seed scans (common/shard.h): a SELECT's slot-0 scan
-  // splits into contiguous row ranges evaluated on ParallelFor workers and
-  // merged in range order — identical tuples, same scan order.  ExecStats
-  // accumulate after the join, so the totals match the serial path.  Only
-  // affects queries on this executor; per-statement point lookups are
-  // untouched.  Not thread-safe against in-flight statements.
+  // splits into contiguous row ranges evaluated through the shard runner
+  // and merged in range order — identical tuples, same scan order, same
+  // ExecStats.  Only affects queries on this executor; per-statement point
+  // lookups are untouched.  Not thread-safe against in-flight statements.
   void set_shard_config(const ShardConfig& shard) { shard_ = shard; }
 
  private:

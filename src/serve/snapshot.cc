@@ -49,7 +49,6 @@ Result<engine::RequestOutcome> QuerySnapshot(const Snapshot& snapshot,
                               "document of subject '" +
                               std::string(subject) + "'");
     }
-    options.use_structural_index = true;
     options.index = view.index.get();
   }
   std::vector<xml::NodeId> nodes = xpath::Evaluate(query, doc, options);

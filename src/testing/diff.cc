@@ -127,6 +127,17 @@ std::string CheckDirectory(engine::Backend* backend, const std::string& where) {
   return st.ok() ? "" : "directory[" + where + "]: " + st.ToString();
 }
 
+// The shard config of the checks that build their own backend.  The
+// sharded side forces every fan-out (min_work = 1): fuzz instances are far
+// below every site's default threshold, so without it the /shard side would
+// run the serial plan and compare serial against serial.
+ShardConfig HarnessShardConfig(const DiffOptions& options) {
+  ShardConfig shard;
+  shard.enabled = options.shard_parallel;
+  shard.min_work = 1;
+  return shard;
+}
+
 std::vector<UniversalId> Widen(const std::vector<NodeId>& ids) {
   std::vector<UniversalId> out;
   out.reserve(ids.size());
@@ -146,9 +157,7 @@ std::string CheckIndexVersions(const Instance& instance,
                                const DiffOptions& options) {
   engine::NativeXmlBackend backend;
   backend.set_use_structural_index(true);
-  ShardConfig shard;
-  shard.enabled = options.shard_parallel;
-  backend.SetShardConfig(shard);
+  backend.SetShardConfig(HarnessShardConfig(options));
   if (!backend.Load(instance.dtd, instance.doc).ok()) return "";
   for (const engine::BatchOp& op : instance.updates) {
     auto path = xpath::ParsePath(op.xpath);
@@ -270,9 +279,7 @@ std::string CheckAnnotation(const Instance& instance,
     {
       std::unique_ptr<engine::Backend> backend =
           MakeBackend(kind, options.structural_accel);
-      ShardConfig shard;
-      shard.enabled = options.shard_parallel;
-      backend->SetShardConfig(shard);
+      backend->SetShardConfig(HarnessShardConfig(options));
       if (!backend->Load(instance.dtd, instance.doc).ok()) return "";
       std::string dir = CheckDirectory(backend.get(), BackendName(kind));
       if (!dir.empty()) return dir;

@@ -13,17 +13,16 @@ class IndexVersion;
 
 // Selects between the two evaluation engines.  The default-constructed
 // options keep the naive step-at-a-time evaluator (the reference the
-// differential oracle checks against); setting `use_structural_index` with
-// a published index version routes evaluation through the structural-join
-// engine in structural_eval.h.  `index` is an immutable IndexVersion the
-// writer read from its publisher or the caller owns via shared_ptr (see
-// structural_index.h); the caller guarantees it was built for `doc`'s
-// lineage.  If the version is missing or doesn't match the queried
-// document, evaluation falls back to the naive path — the switch can never
-// make results stale — and counts `xpath.structural.fallbacks`, since a
-// requested index that is not there means a publish was missed upstream.
+// differential oracle checks against); a non-null `index` routes
+// evaluation through the structural-join engine in structural_eval.h.
+// `index` is an immutable IndexVersion the writer read from its publisher
+// or the caller owns via shared_ptr (see structural_index.h); the caller
+// guarantees it was built for `doc`'s lineage.  If the version doesn't
+// match the queried document, evaluation falls back to the naive path —
+// the index can never make results stale — and counts
+// `xpath.structural.fallbacks`, since a stale index means a publish was
+// missed upstream.
 struct EvaluatorOptions {
-  bool use_structural_index = false;
   const IndexVersion* index = nullptr;
   // Exchange fan-out for the structural engine (common/shard.h): large
   // context sets split into interval ranges and evaluate shard-parallel

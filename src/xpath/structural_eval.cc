@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/parallel.h"
 #include "common/shard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -45,20 +44,29 @@ struct EvalState {
   int64_t child_merges = 0;
   int64_t child_scans = 0;
   int64_t value_probes = 0;
-  int64_t shard_fanouts = 0;
-  int64_t shard_count = 0;
 };
 
-// Folds a shard worker's counters into the parent state.
-void AggregateCounters(EvalState& s, const EvalState& sub) {
-  s.advances += sub.advances;
-  s.joins += sub.joins;
-  s.descendant_merges += sub.descendant_merges;
-  s.child_merges += sub.child_merges;
-  s.child_scans += sub.child_scans;
-  s.value_probes += sub.value_probes;
-  s.shard_fanouts += sub.shard_fanouts;
-  s.shard_count += sub.shard_count;
+// Runs body(worker, range) -> node list for every range through the shard
+// runner, each range with its own worker state (no shard config, so a
+// worker never nests another fan-out), and folds the workers' counters
+// into `s`.  Returns the per-range lists concatenated in range order.
+template <typename Body>
+std::vector<NodeId> RunEvalShards(EvalState& s,
+                                  const std::vector<ShardRange>& ranges,
+                                  const ShardConfig& config, Body&& body) {
+  std::vector<EvalState> workers(ranges.size(), EvalState{s.doc, s.index});
+  std::vector<NodeId> out =
+      RunShards(ranges, config, {"xpath", "xpath.shard_fanout"},
+                [&](size_t k) { return body(workers[k], ranges[k]); });
+  for (const EvalState& w : workers) {
+    s.advances += w.advances;
+    s.joins += w.joins;
+    s.descendant_merges += w.descendant_merges;
+    s.child_merges += w.child_merges;
+    s.child_scans += w.child_scans;
+    s.value_probes += w.value_probes;
+  }
+  return out;
 }
 
 bool PredicatesHoldStructural(EvalState& s, const Step& step, NodeId node);
@@ -210,46 +218,25 @@ size_t EstimatedWork(const EvalState& s, const Path& path, size_t step_index,
 }
 
 // Exchange fan-out over the context set: splits the start-sorted context
-// into contiguous interval ranges, applies the remaining steps per range on
-// ParallelFor workers (each with a serial worker state), and merges by
-// concatenating in range order.  Contexts nesting across a range boundary
-// can both select the same node, so the merge also sorts by NodeId and
-// deduplicates — which is exactly the serial output contract, making the
-// result byte-identical for any shard count.
+// into contiguous interval ranges and applies the remaining steps per
+// range.  Contexts nesting across a range boundary can both select the
+// same node, so the merge also sorts by NodeId and deduplicates — which is
+// exactly the serial output contract, making the result byte-identical for
+// any shard count.
 std::vector<NodeId> FanOutSteps(EvalState& s, const Path& path,
                                 size_t step_index,
                                 const std::vector<NodeId>& context,
                                 const std::vector<ShardRange>& ranges) {
-  obs::ScopedSpan span("xpath.shard_fanout");
-  ++s.shard_fanouts;
-  s.shard_count += static_cast<int64_t>(ranges.size());
-  std::vector<std::vector<NodeId>> parts(ranges.size());
-  std::vector<EvalState> states;
-  states.reserve(ranges.size());
-  for (size_t k = 0; k < ranges.size(); ++k) {
-    states.emplace_back(EvalState{s.doc, s.index});
-  }
-  ParallelFor(ranges.size(), s.shard->ResolvedThreads(), 1, [&](size_t k) {
-    std::vector<NodeId> ctx(context.begin() + ranges[k].begin,
-                            context.begin() + ranges[k].end);
-    parts[k] = ApplySteps(states[k], path, step_index, std::move(ctx), 0);
-  });
-  std::vector<NodeId> out;
-  {
-    obs::ScopedTimer merge_timer("xpath.shard.merge_us");
-    size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    out.reserve(total);
-    for (const auto& part : parts) {
-      out.insert(out.end(), part.begin(), part.end());
-    }
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
-  for (const EvalState& sub : states) AggregateCounters(s, sub);
-  if (span.active()) {
-    span.AddCount("shards", static_cast<int64_t>(ranges.size()));
-  }
+  std::vector<NodeId> out = RunEvalShards(
+      s, ranges, *s.shard, [&](EvalState& worker, const ShardRange& r) {
+        return ApplySteps(worker, path, step_index,
+                          std::vector<NodeId>(context.begin() + r.begin,
+                                              context.begin() + r.end),
+                          0);
+      });
+  obs::ScopedTimer merge_timer("xpath.shard.merge_us");
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -390,82 +377,50 @@ void FlushCounters(const EvalState& s, size_t selected, bool top_level) {
   static thread_local obs::CounterHandle joins("xpath.structural.joins");
   static thread_local obs::CounterHandle advances(
       "xpath.structural.stream_advances");
-  static thread_local obs::CounterHandle shard_fanouts("xpath.shard.fanouts");
-  static thread_local obs::CounterHandle shard_shards("xpath.shard.shards");
   if (top_level) evaluations.Increment();
   nodes_visited.Increment(s.advances);
   nodes_selected.Increment(selected);
   joins.Increment(s.joins);
   advances.Increment(s.advances);
-  if (s.shard_fanouts != 0) {
-    shard_fanouts.Increment(static_cast<uint64_t>(s.shard_fanouts));
-    shard_shards.Increment(static_cast<uint64_t>(s.shard_count));
-  }
 }
 
-// Builds the first-step context for an absolute path.  For a descendant
-// first step with predicates over a large tag stream, the per-candidate
-// predicate filter fans out shard-parallel: stream ranges are disjoint
-// nodes in pre-order, so concatenation in range order is the serial output.
+// Builds the first-step context for an absolute path.  A descendant first
+// step filters its whole tag stream; with predicates over a large stream
+// the filter fans out: stream ranges are disjoint nodes in pre-order, so
+// concatenation in range order is the serial output.
 std::vector<NodeId> FirstStepContext(EvalState& s, const Path& path) {
   const Step& first = path.steps.front();
-  std::vector<NodeId> context;
   if (first.axis == Axis::kChild) {
     // The virtual document node has exactly one child: the root element.
     const xml::Node& root = s.doc.node(s.doc.root());
     if ((first.is_wildcard() || root.label == first.label) &&
         PredicatesHoldStructural(s, first, s.doc.root())) {
-      context.push_back(s.doc.root());
+      return {s.doc.root()};
     }
-    return context;
+    return {};
   }
-  // Descendant from the virtual node: the step's whole tag stream.
+  static const ShardConfig kSerial{/*enabled=*/false};
+  const ShardConfig& config =
+      s.shard != nullptr && !first.predicates.empty() ? *s.shard : kSerial;
   const std::vector<NodeId>& stream = StreamFor(s, first);
-  std::vector<ShardRange> ranges;
-  if (s.shard != nullptr && !first.predicates.empty()) {
-    ranges = PlanShards(stream.size(), stream.size() + PredicateWork(s, first),
-                        *s.shard, kEvalShardMinWork);
-  }
-  if (ranges.size() > 1) {
-    obs::ScopedSpan span("xpath.shard_fanout");
-    ++s.shard_fanouts;
-    s.shard_count += static_cast<int64_t>(ranges.size());
-    std::vector<std::vector<NodeId>> parts(ranges.size());
-    std::vector<EvalState> states;
-    states.reserve(ranges.size());
-    for (size_t k = 0; k < ranges.size(); ++k) {
-      states.emplace_back(EvalState{s.doc, s.index});
-    }
-    ParallelFor(ranges.size(), s.shard->ResolvedThreads(), 1, [&](size_t k) {
-      for (size_t i = ranges[k].begin; i < ranges[k].end; ++i) {
-        NodeId c = stream[i];
-        ++states[k].advances;
-        if (!s.doc.IsAlive(c)) continue;
-        if (!PredicatesHoldStructural(states[k], first, c)) continue;
-        parts[k].push_back(c);
-      }
-    });
-    for (const EvalState& sub : states) AggregateCounters(s, sub);
-    size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    context.reserve(total);
-    for (const auto& part : parts) {
-      context.insert(context.end(), part.begin(), part.end());
-    }
-    if (span.active()) {
-      span.AddCount("shards", static_cast<int64_t>(ranges.size()));
-    }
-    return context;
-  }
-  for (NodeId c : stream) {
-    ++s.advances;
-    if (!s.doc.IsAlive(c)) continue;
-    if (!first.predicates.empty() && !PredicatesHoldStructural(s, first, c)) {
-      continue;
-    }
-    context.push_back(c);
-  }
-  return context;
+  std::vector<ShardRange> ranges =
+      PlanShards(stream.size(), stream.size() + PredicateWork(s, first),
+                 config, kEvalShardMinWork);
+  return RunEvalShards(
+      s, ranges, config, [&](EvalState& worker, const ShardRange& r) {
+        std::vector<NodeId> part;
+        for (size_t i = r.begin; i < r.end; ++i) {
+          NodeId c = stream[i];
+          ++worker.advances;
+          if (!s.doc.IsAlive(c)) continue;
+          if (!first.predicates.empty() &&
+              !PredicatesHoldStructural(worker, first, c)) {
+            continue;
+          }
+          part.push_back(c);
+        }
+        return part;
+      });
 }
 
 std::vector<NodeId> EvaluateStructuralImpl(const Path& path,
@@ -493,7 +448,6 @@ std::vector<NodeId> EvaluateStructuralImpl(const Path& path,
   if (s.child_merges != 0) span.AddCount("join.child_merge", s.child_merges);
   if (s.child_scans != 0) span.AddCount("join.child_scan", s.child_scans);
   if (s.value_probes != 0) span.AddCount("join.value_probe", s.value_probes);
-  if (s.shard_fanouts != 0) span.AddCount("shard.fanouts", s.shard_fanouts);
   return out;
 }
 
@@ -545,13 +499,12 @@ std::vector<NodeId> EvaluateFromStructural(const Path& path,
 
 namespace {
 
-// Whether `options` route to the structural engine.  A requested index that
-// is missing or was built for another document version answers through the
-// naive evaluator — correct, but a broken publish upstream — so it is
-// counted, never silent.
+// Whether `options` route to the structural engine.  An index built for
+// another document version answers through the naive evaluator — correct,
+// but a broken publish upstream — so it is counted, never silent.
 bool UseStructural(const EvaluatorOptions& options, const Document& doc) {
-  if (!options.use_structural_index) return false;
-  if (options.index != nullptr && options.index->Matches(doc)) return true;
+  if (options.index == nullptr) return false;
+  if (options.index->Matches(doc)) return true;
   static thread_local obs::CounterHandle fallbacks(
       "xpath.structural.fallbacks");
   fallbacks.Increment();

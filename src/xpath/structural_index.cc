@@ -7,7 +7,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "common/parallel.h"
+#include "common/shard.h"
 #include "obs/metrics.h"
 
 namespace xmlac::xpath {
@@ -101,11 +101,32 @@ std::vector<NodeId> TopLevelSubtrees(const Document& doc) {
   return tops;
 }
 
-bool ShouldShardRebuild(const Document& doc, const ShardConfig& shard,
-                        size_t top_count) {
-  size_t min_work = shard.min_work != 0 ? shard.min_work : kLabelShardMinNodes;
-  return shard.enabled && top_count > 1 && doc.size() >= min_work &&
-         shard.ResolvedThreads() > 1;
+// Partitions the top-level subtrees into labeling ranges, at least one (a
+// root without element children gets an empty range).  The work is the
+// document size, so small documents stay one range.  A sharded plan gives
+// every subtree its own range: subtree sizes are skewed (XMark's regions
+// holds a third of the elements), and the runner's participants balance
+// single subtrees as they finish, where k contiguous runs of them would not.
+std::vector<ShardRange> PlanSubtreeRanges(const Document& doc,
+                                          const std::vector<NodeId>& tops,
+                                          const ShardConfig& shard) {
+  ShardConfig per_subtree = shard;
+  if (shard.ResolvedThreads() > 1) per_subtree.threads = tops.size();
+  std::vector<ShardRange> ranges =
+      PlanShards(tops.size(), doc.size(), per_subtree, kLabelShardMinNodes);
+  if (ranges.empty()) ranges.push_back({});
+  return ranges;
+}
+
+constexpr ShardSite kLabelSite{"xpath.labeling"};
+
+// Appends `part` to `stream`, moving it when `stream` is still empty.
+void AppendStream(IndexVersion::Stream* stream, IndexVersion::Stream* part) {
+  if (stream->empty()) {
+    *stream = std::move(*part);
+  } else {
+    stream->insert(stream->end(), part->begin(), part->end());
+  }
 }
 
 }  // namespace
@@ -116,35 +137,40 @@ std::vector<IntervalLabel> ComputeIntervalLabels(const Document& doc) {
   return ComputeIntervalLabels(doc, serial);
 }
 
+// Each range of top-level subtrees labels from its own base offset, the
+// label value after every earlier range.  A range's span is 2 * (alive
+// elements) * kBuildGap, so the bases come from counting every range but
+// the last; with one range nothing is counted, and the range labels the
+// whole document in one pass.  Ranges own disjoint label ranges and
+// disjoint NodeId slots, so they never touch the same data.
 std::vector<IntervalLabel> ComputeIntervalLabels(const Document& doc,
                                                  const ShardConfig& shard) {
   std::vector<IntervalLabel> labels(doc.size());
   if (doc.empty() || !doc.IsAlive(doc.root())) return labels;
   std::vector<NodeId> tops = TopLevelSubtrees(doc);
-  if (!ShouldShardRebuild(doc, shard, tops.size())) {
-    LabelSubtree(doc, doc.root(), 0, kBuildGap, &labels);
-    return labels;
-  }
-  // Each top-level subtree owns a precomputed, disjoint label range and a
-  // disjoint set of NodeId slots, so the workers never touch the same data.
+  std::vector<ShardRange> ranges = PlanSubtreeRanges(doc, tops, shard);
+  std::vector<ShardRange> counted(ranges.begin(), ranges.end() - 1);
+  std::vector<uint64_t> spans =
+      RunShards(counted, shard, kLabelSite, [&](size_t k) {
+        uint64_t n = 0;
+        for (size_t i = counted[k].begin; i < counted[k].end; ++i) {
+          n += CountSubtreeElements(doc, tops[i]);
+        }
+        return std::vector<uint64_t>{2 * n * kBuildGap};
+      });
   labels[doc.root()].start = kBuildGap;
   labels[doc.root()].level = 0;
-  size_t threads = shard.ResolvedThreads();
-  std::vector<size_t> counts(tops.size());
-  ParallelFor(tops.size(), threads, 1, [&](size_t i) {
-    counts[i] = CountSubtreeElements(doc, tops[i]);
-  });
-  std::vector<uint64_t> bases(tops.size());
-  uint64_t counter = 2 * kBuildGap;
-  for (size_t i = 0; i < tops.size(); ++i) {
-    bases[i] = counter;
-    counter += 2 * static_cast<uint64_t>(counts[i]) * kBuildGap;
-  }
-  ParallelFor(tops.size(), threads, 1, [&](size_t i) {
-    LabelSubtree(doc, tops[i], 1, bases[i], &labels);
-  });
-  labels[doc.root()].end = counter;
-  obs::IncrementCounter("xpath.structural.shard_labelings");
+  std::vector<uint64_t> bases = {2 * kBuildGap};
+  for (uint64_t span : spans) bases.push_back(bases.back() + span);
+  std::vector<uint64_t> ends =
+      RunShards(ranges, shard, kLabelSite, [&](size_t k) {
+        uint64_t counter = bases[k];
+        for (size_t i = ranges[k].begin; i < ranges[k].end; ++i) {
+          counter = LabelSubtree(doc, tops[i], 1, counter, &labels);
+        }
+        return std::vector<uint64_t>{counter};
+      });
+  labels[doc.root()].end = ends.back();
   return labels;
 }
 
@@ -238,45 +264,37 @@ std::shared_ptr<IndexVersion> StructuralIndex::BuildFull() {
   next->doc_version_ = doc_->version();
   next->labels_ = std::make_shared<const IndexVersion::Labels>(
       ComputeIntervalLabels(*doc_, shard_));
-  auto elements = std::make_shared<IndexVersion::Stream>();
-  std::unordered_map<std::string, IndexVersion::Stream> tags;
+  // Streams build per range of top-level subtrees (the first range leads
+  // with the root) and concatenate in range order: [root] + subtree
+  // pre-orders in sibling order IS the document pre-order, which matches
+  // ascending start labels, so the streams come out sorted.
+  struct SubtreeStreams {
+    IndexVersion::Stream elements;
+    std::unordered_map<std::string, IndexVersion::Stream> tags;
+  };
+  std::vector<SubtreeStreams> parts;
   if (!doc_->empty() && doc_->IsAlive(doc_->root())) {
     std::vector<NodeId> tops = TopLevelSubtrees(*doc_);
-    if (!ShouldShardRebuild(*doc_, shard_, tops.size())) {
-      // Pre-order visitation matches ascending start labels, so the streams
-      // come out sorted without an explicit sort.
-      doc_->Visit(doc_->root(), [&](NodeId id) {
+    std::vector<ShardRange> ranges = PlanSubtreeRanges(*doc_, tops, shard_);
+    parts = RunShards(ranges, shard_, kLabelSite, [&](size_t k) {
+      SubtreeStreams part;
+      auto add = [&](NodeId id) {
         if (doc_->node(id).kind != NodeKind::kElement) return;
-        elements->push_back(id);
-        tags[doc_->node(id).label].push_back(id);
-      });
-    } else {
-      // Per-subtree streams built in parallel, then concatenated in subtree
-      // order: [root] + subtree pre-orders in sibling order IS the document
-      // pre-order, so the merged streams match the serial build exactly.
-      elements->push_back(doc_->root());
-      tags[doc_->node(doc_->root()).label].push_back(doc_->root());
-      struct SubtreeStreams {
-        IndexVersion::Stream elements;
-        std::unordered_map<std::string, IndexVersion::Stream> tags;
+        part.elements.push_back(id);
+        part.tags[doc_->node(id).label].push_back(id);
       };
-      std::vector<SubtreeStreams> parts(tops.size());
-      ParallelFor(tops.size(), shard_.ResolvedThreads(), 1, [&](size_t i) {
-        doc_->Visit(tops[i], [&](NodeId id) {
-          if (doc_->node(id).kind != NodeKind::kElement) return;
-          parts[i].elements.push_back(id);
-          parts[i].tags[doc_->node(id).label].push_back(id);
-        });
-      });
-      for (SubtreeStreams& part : parts) {
-        elements->insert(elements->end(), part.elements.begin(),
-                         part.elements.end());
-        for (auto& [tag, ids] : part.tags) {
-          auto& stream = tags[tag];
-          stream.insert(stream.end(), ids.begin(), ids.end());
-        }
+      if (k == 0) add(doc_->root());
+      for (size_t i = ranges[k].begin; i < ranges[k].end; ++i) {
+        doc_->Visit(tops[i], add);
       }
-    }
+      return std::vector<SubtreeStreams>{std::move(part)};
+    });
+  }
+  auto elements = std::make_shared<IndexVersion::Stream>();
+  std::unordered_map<std::string, IndexVersion::Stream> tags;
+  for (SubtreeStreams& part : parts) {
+    AppendStream(elements.get(), &part.elements);
+    for (auto& [tag, ids] : part.tags) AppendStream(&tags[tag], &ids);
   }
   next->element_stream_ = std::move(elements);
   for (auto& [tag, ids] : tags) {

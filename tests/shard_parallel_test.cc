@@ -17,8 +17,10 @@
 
 #include "common/parallel.h"
 #include "engine/access_controller.h"
+#include "engine/annotator.h"
 #include "engine/native_backend.h"
 #include "engine/relational_backend.h"
+#include "obs/metrics.h"
 #include "obs/ring.h"
 #include "workload/coverage.h"
 #include "workload/hospital.h"
@@ -307,6 +309,97 @@ TEST(ControllerShardTest, SignsAndOutcomesMatchSerial) {
     ASSERT_EQ(a.ok(), b.ok());
     if (a.ok()) EXPECT_EQ(*a, *b) << "post-update node " << id;
   }
+}
+
+// ----- Annotator: sharded bitmap combine and sign diff == serial ---------
+
+// The cached annotation path over a small hospital document, once with
+// every word-range fan-out forced (7 ranges, min_work = 1) and once serial:
+// full annotation, then a delete and a partial re-annotation.  The sign
+// state's bitmap and the backend's signs must match after each step, and
+// the forced side must really have fanned out.
+TEST(AnnotatorShardTest, CachedPathMatchesSerial) {
+  workload::HospitalGenerator gen;
+  workload::HospitalOptions hopt;
+  hopt.departments = 3;
+  hopt.patients_per_department = 30;
+  xml::Document doc = gen.Generate(hopt);
+  auto dtd = workload::HospitalGenerator::ParseHospitalDtd();
+  ASSERT_TRUE(dtd.ok()) << dtd.status();
+  workload::CoverageOptions copt;
+  copt.target = 0.4;
+  auto policy = workload::GenerateCoveragePolicy(doc, copt);
+  ASSERT_TRUE(policy.ok()) << policy.status();
+  ASSERT_GT(policy->size(), 1u);
+  // Every other rule: a partial re-annotation whose affected set does not
+  // cover every marked id.
+  std::vector<size_t> triggered;
+  for (size_t i = 0; i < policy->size(); i += 2) triggered.push_back(i);
+  auto delete_path = xpath::ParsePath("//patient/treatment");
+  ASSERT_TRUE(delete_path.ok());
+
+  struct Outcome {
+    std::vector<UniversalId> marked_full;
+    std::vector<char> signs_full;
+    std::vector<UniversalId> old_scope;
+    std::vector<UniversalId> marked_update;
+    std::vector<char> signs_update;
+    uint64_t fanouts = 0;
+  };
+  auto signs = [](engine::Backend* backend) {
+    std::vector<char> out;
+    for (UniversalId id = 0; id < static_cast<UniversalId>(backend->IdBound());
+         ++id) {
+      auto sign = backend->GetSign(id);
+      out.push_back(sign.ok() ? *sign : '?');
+    }
+    return out;
+  };
+  auto run = [&](const ShardConfig& shard) {
+    Outcome out;
+    obs::MetricsRegistry registry;
+    obs::ScopedMetrics scoped(&registry);
+    engine::NativeXmlBackend backend;
+    EXPECT_TRUE(backend.Load(*dtd, doc).ok());
+    engine::RuleScopeCache cache;
+    engine::SignState state;
+    engine::AnnotationContext ctx;
+    ctx.rule_cache = &cache;
+    ctx.epoch = cache.epoch();
+    ctx.sign_state = &state;
+    ctx.shard = shard;
+    EXPECT_TRUE(engine::AnnotateFull(&backend, *policy, &ctx).ok());
+    out.marked_full = state.marked.ToIds();
+    out.signs_full = signs(&backend);
+    auto old_scope = engine::TriggeredScope(&backend, *policy, triggered, &ctx);
+    EXPECT_TRUE(old_scope.ok()) << old_scope.status();
+    out.old_scope = *old_scope;
+    EXPECT_TRUE(backend.DeleteWhere(*delete_path).ok());
+    ctx.epoch = cache.AdvanceEpoch();
+    auto re = engine::Reannotate(&backend, *policy, triggered, *old_scope,
+                                 &ctx);
+    EXPECT_TRUE(re.ok()) << re.status();
+    out.marked_update = state.marked.ToIds();
+    out.signs_update = signs(&backend);
+    out.fanouts = registry.Snapshot().counters["annotator.shard.fanouts"];
+    return out;
+  };
+
+  ShardConfig forced;
+  forced.threads = 7;
+  forced.min_work = 1;
+  ShardConfig serial;
+  serial.enabled = false;
+  Outcome sharded = run(forced);
+  Outcome plain = run(serial);
+  EXPECT_FALSE(plain.marked_full.empty());
+  EXPECT_EQ(sharded.marked_full, plain.marked_full);
+  EXPECT_EQ(sharded.signs_full, plain.signs_full);
+  EXPECT_EQ(sharded.old_scope, plain.old_scope);
+  EXPECT_EQ(sharded.marked_update, plain.marked_update);
+  EXPECT_EQ(sharded.signs_update, plain.signs_update);
+  EXPECT_GT(sharded.fanouts, 0u);
+  EXPECT_EQ(plain.fanouts, 0u);
 }
 
 // ----- Relational backend: sharded scans == serial -----------------------

@@ -42,7 +42,6 @@ std::vector<NodeId> EvalBoth(std::string_view expr, const Document& doc,
   Path p = MustParse(expr);
   std::vector<NodeId> naive = Evaluate(p, doc);
   EvaluatorOptions options;
-  options.use_structural_index = true;
   options.index = index.current();
   std::vector<NodeId> structural = Evaluate(p, doc, options);
   EXPECT_EQ(naive, structural) << expr;
@@ -213,10 +212,18 @@ TEST(StructuralIndexTest, StaleIndexFallsBackToNaive) {
   EXPECT_FALSE(index.ReadyFor(doc));
   ASSERT_NE(index.current(), nullptr);
   EXPECT_FALSE(index.current()->Matches(doc));
+  obs::MetricsRegistry registry;
+  obs::ScopedMetrics scoped(&registry);
   EvaluatorOptions options;
-  options.use_structural_index = true;
   options.index = index.current();
   EXPECT_EQ(Evaluate(MustParse("//treatment"), doc, options).size(), 1u);
+  // The stale version is a missed publish: counted.  No index at all is a
+  // plain request for the naive engine: not counted.
+  EXPECT_EQ(registry.Snapshot().counters["xpath.structural.fallbacks"], 1u);
+  EXPECT_EQ(Evaluate(MustParse("//treatment"), doc, EvaluatorOptions{})
+                .size(),
+            1u);
+  EXPECT_EQ(registry.Snapshot().counters["xpath.structural.fallbacks"], 1u);
 }
 
 // ----- Multi-version behavior --------------------------------------------
@@ -479,7 +486,6 @@ TEST(StructuralPropertyTest, MatchesNaiveOnGeneratedCorpus) {
       Path p = paths.Next();
       std::vector<NodeId> naive = Evaluate(p, instance.doc);
       EvaluatorOptions opt;
-      opt.use_structural_index = true;
       opt.index = index.current();
       std::vector<NodeId> structural = Evaluate(p, instance.doc, opt);
       ASSERT_EQ(naive, structural)
@@ -498,7 +504,6 @@ TEST(StructuralPropertyTest, MatchesNaiveOnGeneratedCorpus) {
       Path p = paths.Next();
       std::vector<NodeId> naive = Evaluate(p, instance.doc);
       EvaluatorOptions opt;
-      opt.use_structural_index = true;
       opt.index = index.current();
       std::vector<NodeId> structural = Evaluate(p, instance.doc, opt);
       ASSERT_EQ(naive, structural)
