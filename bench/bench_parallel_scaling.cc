@@ -1,15 +1,15 @@
 // Shard-parallel scaling (docs/performance.md, "Shard-parallel execution"):
-// the exchange-style fan-out over structural-index intervals, bitmap words
-// and relational row ranges, swept over worker counts.  Each workload runs
+// the exchange-style fan-out over structural-index intervals and labeling
+// subtrees, swept over worker counts.  Each workload runs
 // the SAME computation at threads ∈ {1, 2, 4, 8, max} — threads=1 plans a
 // single shard, i.e. the serial engine — so the reported speedup is the
 // fan-out's wall-clock win, not a change of algorithm.
 //
 // Workloads:
 //   eval        structural-join XPath over XMark, per-interval-range fan-out
-//   reannotate  full cached re-annotation (Fig. 5 bitmap combination sharded
-//               over word ranges, cache misses over interval shards)
-//   relscan     relational annotation-set scans, per-row-range sub-scans
+//   reannotate  full cached re-annotation: every rule misses the cache and
+//               the misses evaluate concurrently, each over interval shards
+//               (the Fig. 5 bitmap combination itself is serial)
 //   labeling    (st, en) interval labeling, per-top-subtree
 //   forkjoin    the ParallelFor pool's fixed cost per fan-out (not gated)
 //
@@ -39,7 +39,6 @@
 #include "common/timer.h"
 #include "engine/access_controller.h"
 #include "engine/native_backend.h"
-#include "engine/relational_backend.h"
 #include "workload/coverage.h"
 #include "workload/xmark.h"
 #include "xpath/evaluator.h"
@@ -202,7 +201,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- reannotate: cached full re-annotation (bitmap combination) --------
+  // --- reannotate: cached full re-annotation (concurrent rule misses) ----
   {
     double base = 0;
     for (size_t threads : sweep) {
@@ -219,31 +218,6 @@ int main(int argc, char** argv) {
       if (threads == 1) base = s;
       double speedup = report("reannotate", threads, s, base);
       if (threads > 1) best_reannotate = std::max(best_reannotate, speedup);
-    }
-  }
-
-  // --- relscan: sharded relational annotation-set scans ------------------
-  {
-    std::vector<size_t> all_rules(policy->size());
-    for (size_t i = 0; i < all_rules.size(); ++i) all_rules[i] = i;
-    double base = 0;
-    for (size_t threads : sweep) {
-      engine::RelationalOptions ropt;
-      ropt.storage = reldb::StorageKind::kRowStore;
-      engine::RelationalBackend backend(ropt);
-      ShardConfig config;
-      config.threads = threads;
-      config.min_work = 1;
-      backend.SetShardConfig(config);
-      XMLAC_CHECK(backend.Load(*dtd, doc).ok());
-      double s = bench::MedianSeconds(
-          [&] {
-            benchmark::DoNotOptimize(backend.EvaluateAnnotationSet(
-                *policy, all_rules, policy::CombineOp::kGrantsExceptDenies));
-          },
-          reps);
-      if (threads == 1) base = s;
-      report("relscan", threads, s, base);
     }
   }
 

@@ -4,16 +4,16 @@
 // Exchange-style shard planner and runner (docs/performance.md,
 // "Shard-parallel execution").
 //
-// Every parallel site in the engine has the same shape: partition an
-// ordered input (a start-sorted context set, the words of a node bitmap,
-// the row range of a table, the top-level subtrees of a document) into
-// contiguous ranges, run one body per range, and merge the per-range
-// outputs by concatenating them in range order.  Because every shard key
-// is aligned with the output order — interval start labels are pre-order,
-// bitmap words own disjoint ascending id ranges, row indices are scan
-// order — concatenation IS the order-preserving merge, and the sharded
-// result is byte-identical to the serial one (shard_parallel_test and the
-// differential harness's /shard side check this).
+// The two sites that use it, both in the native store, have the same
+// shape: partition an ordered input (a start-sorted context set in the
+// structural evaluator, the top-level subtrees of a document in labeling)
+// into contiguous ranges, run one body per range, and merge the per-range
+// outputs by concatenating them in range order.  Because the shard key is
+// aligned with the output order — interval start labels are pre-order —
+// concatenation IS the order-preserving merge, and the sharded result is
+// byte-identical to the serial one (shard_parallel_test and the
+// differential harness's /shard side check this).  The annotator's bitmap
+// loops and the relational store run serially.
 //
 // PlanShards is the one policy point: it decides between a single range
 // and k contiguous ranges based on the input size (or the call site's
@@ -56,8 +56,8 @@ struct ShardConfig {
   // many ranges, but only ParallelPoolWorkers() + 1 threads run them.
   size_t threads = 0;
   // Inputs whose work is below this stay serial.  0 = use the call site's
-  // default (each site knows its own per-element cost; a bitmap word is
-  // ~1ns of work, an XPath context node can be microseconds).
+  // default (each site knows its own per-element cost; an XPath context
+  // node can be microseconds).
   size_t min_work = 0;
 
   size_t ResolvedThreads() const {

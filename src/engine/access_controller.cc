@@ -33,8 +33,6 @@ AnnotationContext AccessController::MakeAnnotationContext(uint64_t epoch) {
   ctx.epoch = epoch;
   ctx.sign_state = &sign_state_;
   ctx.parallel_rules = options_.parallel_rules;
-  ctx.shard.enabled = options_.shard_parallel;
-  ctx.shard.threads = options_.shard_threads;
   return ctx;
 }
 

@@ -41,12 +41,11 @@ struct ExecOptions {
   bool enable_rule_cache = true;
 
   // Shard-parallel execution (common/shard.h, docs/performance.md): fans the
-  // hot loops — structural-index joins, Fig. 5 bitmap combination, relational
-  // seed scans, labeling — out over contiguous interval/row ranges with an
-  // order-preserving merge.  `shard_threads` is the shard count, 0 = auto
-  // (hardware concurrency, capped); the ranges run on the ParallelFor pool,
-  // so at most pool size + 1 threads take part.  Results are byte-identical
-  // to serial for any shard count.
+  // native store's structural-index joins and labeling out over contiguous
+  // interval ranges with an order-preserving merge.  `shard_threads` is the
+  // shard count, 0 = auto (hardware concurrency, capped); the ranges run on
+  // the ParallelFor pool, so at most pool size + 1 threads take part.
+  // Results are byte-identical to serial for any shard count.
   bool shard_parallel = true;
   size_t shard_threads = 0;
 };

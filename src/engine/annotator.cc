@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "common/shard.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "xpath/ast.h"
@@ -109,82 +108,28 @@ Result<std::vector<RuleScopeCache::BitmapPtr>> RuleScopes(
   return out;
 }
 
-// Below this many 64-bit words the bitmap combination stays serial: a word
-// op is ~1ns, so a shard must own hundreds of thousands of ids before the
-// fan-out pays for its fork-join round trip.
-constexpr size_t kBitmapShardMinWords = 2048;
-
-// Runs body(word_begin, word_end) over the word ranges of a `words`-word
-// bitmap operation and concatenates what the ranges return.  Word ranges
-// own disjoint ascending id ranges, so each word is written by exactly one
-// range and the concatenation is the serial output.
-template <typename Body>
-auto RunWordRanges(size_t words, const ShardConfig& shard, const char* span,
-                   Body&& body) {
-  std::vector<ShardRange> ranges =
-      PlanShards(words, shard, kBitmapShardMinWords);
-  return RunShards(ranges, shard, {"annotator", span}, [&](size_t k) {
-    return body(ranges[k].begin, ranges[k].end);
-  });
-}
-
-// The sign diff: the ids set in `a` but clear in `b`, ascending.
-std::vector<UniversalId> ShardedDifference(const NodeBitmap& a,
-                                           const NodeBitmap& b,
-                                           const ShardConfig& shard) {
-  auto diff_range = [&](size_t wb, size_t we) {
-    std::vector<UniversalId> part;
-    a.DifferenceInto(b, &part, wb, we);
-    return part;
-  };
-  return RunWordRanges(a.word_count(), shard, nullptr, diff_range);
-}
-
-// acc |= union of all scopes.  EnsureWords first, so the ranges' ORs never
-// resize the word vector.
-void ShardedUnion(NodeBitmap* acc,
-                  const std::vector<RuleScopeCache::BitmapPtr>& scopes,
-                  const ShardConfig& shard) {
-  size_t words = acc->word_count();
-  for (const auto& s : scopes) words = std::max(words, s->word_count());
-  acc->EnsureWords(words);
-  RunWordRanges(words, shard, nullptr, [&](size_t wb, size_t we) {
-    for (const auto& s : scopes) acc->UnionRange(*s, wb, we);
-  });
-}
-
 // The Fig. 5 / Table 2 combination over per-rule bitmaps: UNION of the
 // base-effect scopes as word-wise OR, EXCEPT of the opposing scopes as
-// word-wise AND-NOT.  Every word of base/minus is written by exactly one
-// word range, and the EXCEPT subtracts only words its own range fully
-// built, so the sharded result is bit-identical to serial.
+// word-wise AND-NOT.
 NodeBitmap CombineScopes(const policy::Policy& policy,
                          const std::vector<size_t>& subset,
                          const std::vector<RuleScopeCache::BitmapPtr>& scopes,
-                         policy::CombineOp combine, size_t id_bound,
-                         const ShardConfig& shard) {
+                         policy::CombineOp combine, size_t id_bound) {
   bool base_is_grant = combine == policy::CombineOp::kGrants ||
                        combine == policy::CombineOp::kGrantsExceptDenies;
   bool has_except = combine == policy::CombineOp::kGrantsExceptDenies ||
                     combine == policy::CombineOp::kDeniesExceptGrants;
   NodeBitmap base(id_bound);
   NodeBitmap minus(id_bound);
-  size_t words = base.word_count();
-  for (const auto& s : scopes) words = std::max(words, s->word_count());
-  base.EnsureWords(words);
-  minus.EnsureWords(words);
-  auto combine_range = [&](size_t wb, size_t we) {
-    for (size_t k = 0; k < subset.size(); ++k) {
-      bool grant = policy.rules()[subset[k]].effect == policy::Effect::kAllow;
-      if (grant == base_is_grant) {
-        base.UnionRange(*scopes[k], wb, we);
-      } else if (has_except) {
-        minus.UnionRange(*scopes[k], wb, we);
-      }
+  for (size_t k = 0; k < subset.size(); ++k) {
+    bool grant = policy.rules()[subset[k]].effect == policy::Effect::kAllow;
+    if (grant == base_is_grant) {
+      base.Union(*scopes[k]);
+    } else if (has_except) {
+      minus.Union(*scopes[k]);
     }
-    if (has_except) base.SubtractRange(minus, wb, we);
-  };
-  RunWordRanges(words, shard, "annotate.shard_combine", combine_range);
+  }
+  if (has_except) base.Subtract(minus);
   return base;
 }
 
@@ -197,19 +142,18 @@ NodeBitmap CombineScopes(const policy::Policy& policy,
 // wholesale — ResetAllSigns + full SetSigns — and establishes the state.
 Status ApplySigns(Backend* backend, char mark, char def,
                   const NodeBitmap& desired, const NodeBitmap* affected,
-                  SignState* state, const ShardConfig& shard,
-                  AnnotateStats* stats) {
+                  SignState* state, AnnotateStats* stats) {
   if (state != nullptr && state->valid && state->default_sign == def) {
     std::vector<UniversalId> to_default;
     if (affected != nullptr) {
       NodeBitmap current = state->marked;
       current.Intersect(*affected);
-      to_default = ShardedDifference(current, desired, shard);
+      current.DifferenceInto(desired, &to_default);
     } else {
-      to_default = ShardedDifference(state->marked, desired, shard);
+      state->marked.DifferenceInto(desired, &to_default);
     }
-    std::vector<UniversalId> to_mark =
-        ShardedDifference(desired, state->marked, shard);
+    std::vector<UniversalId> to_mark;
+    desired.DifferenceInto(state->marked, &to_mark);
     {
       obs::ScopedSpan diff_span("annotate.sign_diff");
       XMLAC_RETURN_IF_ERROR(backend->SetSigns(to_default, def));
@@ -263,13 +207,13 @@ Result<AnnotateStats> AnnotateFullCached(Backend* backend,
   XMLAC_ASSIGN_OR_RETURN(std::vector<RuleScopeCache::BitmapPtr> scopes,
                          RuleScopes(backend, policy, all, *ctx));
   NodeBitmap desired = CombineScopes(policy, all, scopes, plan.combine,
-                                     backend->IdBound(), ctx->shard);
+                                     backend->IdBound());
   AnnotateStats stats;
   stats.rules_used = policy.size();
   XMLAC_RETURN_IF_ERROR(ApplySigns(backend, MarkSign(plan),
                                    DefaultSign(policy), desired,
                                    /*affected=*/nullptr, ctx->sign_state,
-                                   ctx->shard, &stats));
+                                   &stats));
   obs::IncrementCounter("annotator.full_annotations");
   obs::IncrementCounter("annotator.nodes_marked", stats.marked);
   obs::IncrementCounter("annotator.nodes_reset", stats.reset);
@@ -309,15 +253,15 @@ Result<AnnotateStats> ReannotateCached(Backend* backend,
   XMLAC_ASSIGN_OR_RETURN(std::vector<RuleScopeCache::BitmapPtr> scopes,
                          RuleScopes(backend, policy, triggered, *ctx));
   NodeBitmap desired = CombineScopes(policy, triggered, scopes, plan.combine,
-                                     backend->IdBound(), ctx->shard);
+                                     backend->IdBound());
   // Everything in a triggered scope before or after the update; only these
   // signs may change.
   NodeBitmap affected(backend->IdBound());
-  ShardedUnion(&affected, scopes, ctx->shard);
+  for (const auto& s : scopes) affected.Union(*s);
   for (UniversalId id : old_scope) affected.Set(id);
   XMLAC_RETURN_IF_ERROR(ApplySigns(backend, MarkSign(plan),
                                    DefaultSign(policy), desired, &affected,
-                                   ctx->sign_state, ctx->shard, &stats));
+                                   ctx->sign_state, &stats));
   obs::IncrementCounter("annotator.nodes_marked", stats.marked);
   obs::IncrementCounter("annotator.nodes_reset", stats.reset);
   obs::IncrementCounter("annotator.rules_used", stats.rules_used);
@@ -393,7 +337,7 @@ Result<std::vector<UniversalId>> TriggeredScope(
     XMLAC_ASSIGN_OR_RETURN(std::vector<RuleScopeCache::BitmapPtr> scopes,
                            RuleScopes(backend, policy, triggered, *ctx));
     NodeBitmap scope(backend->IdBound());
-    ShardedUnion(&scope, scopes, ctx->shard);
+    for (const auto& s : scopes) scope.Union(*s);
     out = scope.ToIds();
   } else {
     std::unordered_set<UniversalId> scope;

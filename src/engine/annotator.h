@@ -13,16 +13,15 @@
 //
 //  - Cached bitmap path: each rule's scope is fetched from (or installed
 //    into) the shared RuleScopeCache as a NodeBitmap; the Table 2 / Fig. 5
-//    UNION/EXCEPT combination runs as word-wise OR / AND-NOT; and when a
-//    SignState is supplied, SetSigns becomes a bitmap diff against the
-//    store's current sign bitmap, emitting only the ids whose sign
+//    UNION/EXCEPT combination runs serially as word-wise OR / AND-NOT; and
+//    when a SignState is supplied, SetSigns becomes a bitmap diff against
+//    the store's current sign bitmap, emitting only the ids whose sign
 //    actually changes.  Distinct cache-miss rules evaluate concurrently
 //    when the backend supports it.
 
 #include <cstdint>
 #include <vector>
 
-#include "common/shard.h"
 #include "engine/backend.h"
 #include "engine/node_bitmap.h"
 #include "engine/rule_cache.h"
@@ -68,10 +67,6 @@ struct AnnotationContext {
   // Threads taking part in cache-miss rule evaluation (0 = auto); only
   // used when backend->SupportsParallelEval().
   size_t parallel_rules = 0;
-  // Shard-parallel execution of the Fig. 5 bitmap combination and the sign
-  // diffs (word-range partitioning; see common/shard.h).  Safe to leave on:
-  // the sharded result is bit-identical to the serial one.
-  ShardConfig shard;
 };
 
 // Full annotation: evaluate the Fig. 5 annotation query over all rules and

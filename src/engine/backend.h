@@ -57,9 +57,9 @@ class Backend {
   virtual bool SupportsParallelEval() const { return false; }
 
   // Intra-operation shard-parallelism (common/shard.h): the native store
-  // fans XPath evaluation and index rebuilds out per interval shard, the
-  // relational store splits scans into row ranges.  Results are identical
-  // either way; backends without parallel paths ignore the call.
+  // fans XPath evaluation and index rebuilds out per interval shard.
+  // Results are identical either way; backends without parallel paths (the
+  // relational store) ignore the call.
   virtual void SetShardConfig(const ShardConfig& shard) { (void)shard; }
 
   // Evaluates an absolute XPath query, returning matched node ids (sorted).

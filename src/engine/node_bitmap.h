@@ -93,42 +93,11 @@ class NodeBitmap {
     for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
   }
 
-  // Grows the word vector to at least `n` words, never shrinking.  Shard
-  // workers operate on disjoint word ranges of a pre-sized bitmap, so the
-  // vector must reach its final size before the fan-out.
-  void EnsureWords(size_t n) {
-    if (n > words_.size()) words_.resize(n, 0);
-  }
-
-  // Range variants of Union/Subtract over words [word_begin, word_end),
-  // clamped to both operands' sizes.  They never resize, so disjoint ranges
-  // are safe to run concurrently; EnsureWords first.
-  void UnionRange(const NodeBitmap& other, size_t word_begin,
-                  size_t word_end) {
-    size_t end = std::min({word_end, words_.size(), other.words_.size()});
-    for (size_t i = word_begin; i < end; ++i) words_[i] |= other.words_[i];
-  }
-
-  void SubtractRange(const NodeBitmap& other, size_t word_begin,
-                     size_t word_end) {
-    size_t end = std::min({word_end, words_.size(), other.words_.size()});
-    for (size_t i = word_begin; i < end; ++i) words_[i] &= ~other.words_[i];
-  }
-
   // Appends the ids set in *this but clear in `other` (ascending).  This is
   // the sign diff: exactly the nodes whose sign must change.
   void DifferenceInto(const NodeBitmap& other,
                       std::vector<UniversalId>* out) const {
-    DifferenceInto(other, out, 0, words_.size());
-  }
-
-  // Range variant over words [word_begin, word_end): per-range outputs
-  // concatenated in range order equal the full diff (word ranges own
-  // disjoint, ascending id ranges).
-  void DifferenceInto(const NodeBitmap& other, std::vector<UniversalId>* out,
-                      size_t word_begin, size_t word_end) const {
-    size_t end = std::min(word_end, words_.size());
-    for (size_t i = word_begin; i < end; ++i) {
+    for (size_t i = 0; i < words_.size(); ++i) {
       uint64_t w = words_[i];
       if (i < other.words_.size()) w &= ~other.words_[i];
       while (w != 0) {

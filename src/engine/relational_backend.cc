@@ -31,16 +31,10 @@ std::vector<UniversalId> SortedIds(reldb::ResultSet rs) {
 RelationalBackend::RelationalBackend(const RelationalOptions& options)
     : options_(options) {}
 
-void RelationalBackend::SetShardConfig(const ShardConfig& shard) {
-  shard_ = shard;
-  if (exec_ != nullptr) exec_->set_shard_config(shard_);
-}
-
 Status RelationalBackend::Load(const xml::Dtd& dtd,
                                const xml::Document& doc) {
   catalog_ = std::make_unique<reldb::Catalog>(options_.storage);
   exec_ = std::make_unique<reldb::Executor>(catalog_.get());
-  exec_->set_shard_config(shard_);
   mapping_ =
       std::make_unique<shred::ShredMapping>(dtd, options_.interval_columns);
   tables_.clear();
@@ -53,23 +47,6 @@ Status RelationalBackend::Load(const xml::Dtd& dtd,
                        *t->schema().ColumnIndex(shred::kSignColumn)});
   }
   next_id_ = static_cast<UniversalId>(doc.size());
-  intervals_.clear();
-  if (options_.interval_columns && !doc.empty()) {
-    // Same labels the shredder writes into the st/en columns, kept here so
-    // InsertUnder can continue the gap allocation scheme.
-    std::vector<xpath::IntervalLabel> labels =
-        xpath::ComputeIntervalLabels(doc, shard_);
-    doc.Visit(doc.root(), [&](xml::NodeId id) {
-      const xml::Node& n = doc.node(id);
-      if (n.kind != xml::NodeKind::kElement) return;
-      const xpath::IntervalLabel& l = labels[id];
-      intervals_[id] = NodeInterval{l.start, l.end, l.start};
-      if (n.parent != xml::kInvalidNode) {
-        NodeInterval& p = intervals_[n.parent];
-        if (l.end > p.anchor) p.anchor = l.end;
-      }
-    });
-  }
   if (options_.load_via_sql) {
     XMLAC_ASSIGN_OR_RETURN(std::string script,
                            shred::ShredToSqlScript(doc, *mapping_,
@@ -82,7 +59,35 @@ Status RelationalBackend::Load(const xml::Dtd& dtd,
   }
   uniform_sign_ = default_sign_;
   XMLAC_ASSIGN_OR_RETURN(directory_, ScanDirectory());
+  ReadIntervals();
   return Status::OK();
+}
+
+void RelationalBackend::ReadIntervals() {
+  intervals_.clear();
+  if (!options_.interval_columns) return;
+  // (parent, child's en) pairs, applied once every tuple has its entry.
+  std::vector<std::pair<UniversalId, uint64_t>> child_ends;
+  for (const TableRef& ref : tables_) {
+    const reldb::Table& t = *ref.table;
+    size_t pid_col = *t.schema().ColumnIndex(shred::kPidColumn);
+    size_t st_col = *t.schema().ColumnIndex(shred::kStartColumn);
+    size_t en_col = *t.schema().ColumnIndex(shred::kEndColumn);
+    for (reldb::RowIdx i = 0; i < t.Capacity(); ++i) {
+      if (!t.IsAlive(i)) continue;
+      auto st = static_cast<uint64_t>(t.GetValue(i, st_col).AsInt());
+      auto en = static_cast<uint64_t>(t.GetValue(i, en_col).AsInt());
+      intervals_[t.GetValue(i, ref.id_col).AsInt()] = NodeInterval{st, en, st};
+      Value pid = t.GetValue(i, pid_col);
+      if (pid.type() == reldb::ValueType::kInt64) {
+        child_ends.emplace_back(pid.AsInt(), en);
+      }
+    }
+  }
+  for (const auto& [pid, en] : child_ends) {
+    NodeInterval& p = intervals_[pid];
+    if (en > p.anchor) p.anchor = en;
+  }
 }
 
 void RelationalBackend::Clear() {

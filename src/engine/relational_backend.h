@@ -67,13 +67,6 @@ class RelationalBackend final : public Backend {
   // must stay on one thread.
   bool SupportsParallelEval() const override { return false; }
 
-  // Shard-parallel execution (common/shard.h): SELECT seed scans split into
-  // contiguous row ranges merged in scan order, and Load's interval labels
-  // shard like the native index's.  Applied to the current executor and
-  // re-applied on Load.  SetSigns never scans (it reads the id directory),
-  // so it has nothing to shard.
-  void SetShardConfig(const ShardConfig& shard) override;
-
   Result<std::vector<UniversalId>> EvaluateQuery(
       const xpath::Path& query) override;
   Result<std::vector<UniversalId>> EvaluateAnnotationSet(
@@ -129,6 +122,10 @@ class RelationalBackend final : public Backend {
   static Status StaleDirectory(UniversalId id, const std::string& detail);
   // Position of table `name` in tables_; `name` must be a mapped table.
   uint32_t TableSlot(std::string_view name) const;
+  // Rebuilds intervals_ from the st/en columns the shredder wrote, so
+  // InsertUnder continues its gap allocation without labeling the document
+  // a second time.  Empty unless interval_columns.
+  void ReadIntervals();
 
   // Interval bookkeeping for interval_columns mode: each element tuple's
   // (start, end) label plus the anchor (highest label value already used
@@ -140,7 +137,6 @@ class RelationalBackend final : public Backend {
   };
 
   RelationalOptions options_;
-  ShardConfig shard_;
   std::unique_ptr<reldb::Catalog> catalog_;
   std::unique_ptr<reldb::Executor> exec_;
   std::unique_ptr<shred::ShredMapping> mapping_;

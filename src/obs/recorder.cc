@@ -11,7 +11,7 @@ FlightRecorder::FlightRecorder(RecorderOptions options)
 EventRing* FlightRecorder::AddRing(std::string label) {
   std::lock_guard<std::mutex> lock(mu_);
   auto state = std::make_unique<RingState>();
-  state->ring = std::make_unique<EventRing>(options_.ring_capacity);
+  state->ring = std::make_unique<EventRing>(kRingCapacity);
   state->label = std::move(label);
   EventRing* ring = state->ring.get();
   rings_.push_back(std::move(state));

@@ -44,11 +44,12 @@
 
 namespace xmlac::obs {
 
+// Slots per producer ring.  Sized so a worker saturated at ~100k events/s
+// has >100ms of history between drains — the server's 50ms drain cadence
+// never loses events.
+inline constexpr size_t kRingCapacity = 1 << 14;
+
 struct RecorderOptions {
-  // Slots per producer ring (rounded up to a power of two).  Sized so a
-  // worker saturated at ~100k events/s has >100ms of history between
-  // drains — the drainer's default 50ms cadence never loses events.
-  size_t ring_capacity = 1 << 14;
   // Fixed slow-request threshold in microseconds; 0 selects the adaptive
   // trailing-percentile estimate instead.
   uint64_t slow_threshold_us = 0;

@@ -5,15 +5,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "common/shard.h"
 #include "obs/metrics.h"
 
 namespace xmlac::reldb {
 namespace {
-
-// Seed scans below this many row slots stay serial; a relational row check
-// is cheap enough that small tables cannot amortize the fan-out.
-constexpr size_t kScanShardMinRows = 4096;
 
 // --- Row hashing for set semantics -----------------------------------------
 
@@ -393,35 +388,20 @@ Result<ResultSet> Executor::ExecuteSingleSelect(const SelectQuery& q) {
   std::vector<TupleRows> tuples;
   {
     Table* t = slots[0].table;
-    // Row ranges scan concurrently (Table reads and ExprEvaluator are
-    // const); per-range tuples concatenate in scan order, and the first
-    // range's error wins, as in one ascending scan.
-    std::vector<ShardRange> ranges =
-        PlanShards(t->Capacity(), shard_, kScanShardMinRows);
-    std::vector<Status> statuses(ranges.size(), Status::OK());
-    tuples = RunShards(ranges, shard_, {"reldb"}, [&](size_t k) {
-      std::vector<TupleRows> part;
-      part.reserve(std::min(ranges[k].size(), t->AliveCount()));
-      for (RowIdx i = ranges[k].begin; i < ranges[k].end; ++i) {
-        if (!t->IsAlive(i)) continue;
-        TupleRows tup = {i};
-        bool pass = true;
-        for (const Expr* f : plans[0].filters) {
-          Result<bool> ok = eval.EvalBool(*f, tup);
-          if (!ok.ok()) {
-            statuses[k] = ok.status();
-            return part;
-          }
-          if (!*ok) {
-            pass = false;
-            break;
-          }
+    tuples.reserve(t->AliveCount());
+    for (RowIdx i = 0; i < t->Capacity(); ++i) {
+      if (!t->IsAlive(i)) continue;
+      TupleRows tup = {i};
+      bool pass = true;
+      for (const Expr* f : plans[0].filters) {
+        XMLAC_ASSIGN_OR_RETURN(bool ok, eval.EvalBool(*f, tup));
+        if (!ok) {
+          pass = false;
+          break;
         }
-        if (pass) part.push_back(std::move(tup));
       }
-      return part;
-    });
-    for (const Status& status : statuses) XMLAC_RETURN_IF_ERROR(status);
+      if (pass) tuples.push_back(std::move(tup));
+    }
     stats_.rows_scanned += t->AliveCount();
   }
 

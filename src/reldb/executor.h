@@ -14,7 +14,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/shard.h"
 #include "common/status.h"
 #include "reldb/catalog.h"
 #include "reldb/query.h"
@@ -72,13 +71,6 @@ class Executor {
   const ExecStats& stats() const { return stats_; }
   void ResetStats() { stats_ = ExecStats(); }
 
-  // Shard-parallel seed scans (common/shard.h): a SELECT's slot-0 scan
-  // splits into contiguous row ranges evaluated through the shard runner
-  // and merged in range order — identical tuples, same scan order, same
-  // ExecStats.  Only affects queries on this executor; per-statement point
-  // lookups are untouched.  Not thread-safe against in-flight statements.
-  void set_shard_config(const ShardConfig& shard) { shard_ = shard; }
-
  private:
   // Recursive compound-select evaluation; metrics flush happens only in the
   // public ExecuteSelect wrapper so nested set operands are not double-counted.
@@ -87,7 +79,6 @@ class Executor {
 
   Catalog* catalog_;
   ExecStats stats_;
-  ShardConfig shard_;
 };
 
 }  // namespace xmlac::reldb

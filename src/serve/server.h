@@ -102,12 +102,6 @@ struct ServerOptions : engine::MultiSubjectOptions {
   // span/request on the hot path; CI gates the end-to-end overhead at 5%.
   bool flight_recorder = true;
   obs::RecorderOptions recorder;
-  // How often the drainer thread empties the rings.  50ms keeps the
-  // drainer's wakeups negligible even on single-core hosts while staying
-  // well inside the rings' >100ms overwrite horizon; HealthSnapshot() and
-  // DumpFlightRecorder() drain on demand, so freshness doesn't depend on
-  // this cadence.
-  size_t drain_interval_ms = 50;
   // Fault injection for the serve fuzzer's self-check: snapshot builds
   // catch recycled documents up without their kDelete replays
   // (SnapshotBuilder::set_inject_skip_delete).  Never set outside tests.
@@ -360,7 +354,7 @@ class Server {
   obs::MetricsRegistry metrics_;
 
   // Flight recorder: one ring per worker, then one for the writer, drained
-  // by drainer_ every drain_interval_ms.  Null/empty when disabled.
+  // by drainer_ every kDrainInterval (server.cc).  Null/empty when disabled.
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::vector<obs::EventRing*> rings_;
   // Ring pool for ParallelFor pool workers, one "parallel-N" ring per pool

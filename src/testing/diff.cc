@@ -128,9 +128,10 @@ std::string CheckDirectory(engine::Backend* backend, const std::string& where) {
 }
 
 // The shard config of the checks that build their own backend.  The
-// sharded side forces every fan-out (min_work = 1): fuzz instances are far
-// below every site's default threshold, so without it the /shard side would
-// run the serial plan and compare serial against serial.
+// sharded side forces the native store's structural-eval and labeling
+// fan-outs (min_work = 1): fuzz instances are far below every site's
+// default threshold, so without it the /shard side would run the serial
+// plan and compare serial against serial.  Relational backends ignore it.
 ShardConfig HarnessShardConfig(const DiffOptions& options) {
   ShardConfig shard;
   shard.enabled = options.shard_parallel;

@@ -71,11 +71,12 @@ struct DiffOptions {
   // configuration and the oracle.
   bool structural_accel = true;
   // Run the controllers with shard-parallel execution (common/shard.h):
-  // interval-range fan-out in the structural evaluator, word-range bitmap
-  // combination, sharded relational scans.  CheckAll repeats the
-  // annotation/re-annotation checks with sharding forced off, so every
-  // sweep diffs the sharded engine against both the serial configuration
-  // and the oracle (failure strings carry /shard vs /serial).
+  // interval-range fan-out in the structural evaluator and sharded
+  // labeling; the annotator and the relational store are serial.  CheckAll
+  // repeats the annotation/re-annotation checks with sharding forced off,
+  // so every sweep diffs the sharded engine against both the serial
+  // configuration and the oracle (failure strings carry /shard vs
+  // /serial).
   bool shard_parallel = true;
 };
 

@@ -1,7 +1,7 @@
 // Shard-parallel execution (common/shard.h): the exchange-style fan-out /
 // order-preserving-merge layer must be invisible in results — byte-identical
 // output for ANY shard count, on every path that shards (structural eval,
-// bitmap combination, labeling, relational scans) — while the plumbing
+// labeling) — while the plumbing
 // (PlanShards, the worker ring pool) obeys its local contracts.  The
 // ParallelFor pool itself is covered by parallel_test.
 
@@ -17,10 +17,7 @@
 
 #include "common/parallel.h"
 #include "engine/access_controller.h"
-#include "engine/annotator.h"
 #include "engine/native_backend.h"
-#include "engine/relational_backend.h"
-#include "obs/metrics.h"
 #include "obs/ring.h"
 #include "workload/coverage.h"
 #include "workload/hospital.h"
@@ -308,152 +305,6 @@ TEST(ControllerShardTest, SignsAndOutcomesMatchSerial) {
     auto b = serial->backend()->GetSign(static_cast<UniversalId>(id));
     ASSERT_EQ(a.ok(), b.ok());
     if (a.ok()) EXPECT_EQ(*a, *b) << "post-update node " << id;
-  }
-}
-
-// ----- Annotator: sharded bitmap combine and sign diff == serial ---------
-
-// The cached annotation path over a small hospital document, once with
-// every word-range fan-out forced (7 ranges, min_work = 1) and once serial:
-// full annotation, then a delete and a partial re-annotation.  The sign
-// state's bitmap and the backend's signs must match after each step, and
-// the forced side must really have fanned out.
-TEST(AnnotatorShardTest, CachedPathMatchesSerial) {
-  workload::HospitalGenerator gen;
-  workload::HospitalOptions hopt;
-  hopt.departments = 3;
-  hopt.patients_per_department = 30;
-  xml::Document doc = gen.Generate(hopt);
-  auto dtd = workload::HospitalGenerator::ParseHospitalDtd();
-  ASSERT_TRUE(dtd.ok()) << dtd.status();
-  workload::CoverageOptions copt;
-  copt.target = 0.4;
-  auto policy = workload::GenerateCoveragePolicy(doc, copt);
-  ASSERT_TRUE(policy.ok()) << policy.status();
-  ASSERT_GT(policy->size(), 1u);
-  // Every other rule: a partial re-annotation whose affected set does not
-  // cover every marked id.
-  std::vector<size_t> triggered;
-  for (size_t i = 0; i < policy->size(); i += 2) triggered.push_back(i);
-  auto delete_path = xpath::ParsePath("//patient/treatment");
-  ASSERT_TRUE(delete_path.ok());
-
-  struct Outcome {
-    std::vector<UniversalId> marked_full;
-    std::vector<char> signs_full;
-    std::vector<UniversalId> old_scope;
-    std::vector<UniversalId> marked_update;
-    std::vector<char> signs_update;
-    uint64_t fanouts = 0;
-  };
-  auto signs = [](engine::Backend* backend) {
-    std::vector<char> out;
-    for (UniversalId id = 0; id < static_cast<UniversalId>(backend->IdBound());
-         ++id) {
-      auto sign = backend->GetSign(id);
-      out.push_back(sign.ok() ? *sign : '?');
-    }
-    return out;
-  };
-  auto run = [&](const ShardConfig& shard) {
-    Outcome out;
-    obs::MetricsRegistry registry;
-    obs::ScopedMetrics scoped(&registry);
-    engine::NativeXmlBackend backend;
-    EXPECT_TRUE(backend.Load(*dtd, doc).ok());
-    engine::RuleScopeCache cache;
-    engine::SignState state;
-    engine::AnnotationContext ctx;
-    ctx.rule_cache = &cache;
-    ctx.epoch = cache.epoch();
-    ctx.sign_state = &state;
-    ctx.shard = shard;
-    EXPECT_TRUE(engine::AnnotateFull(&backend, *policy, &ctx).ok());
-    out.marked_full = state.marked.ToIds();
-    out.signs_full = signs(&backend);
-    auto old_scope = engine::TriggeredScope(&backend, *policy, triggered, &ctx);
-    EXPECT_TRUE(old_scope.ok()) << old_scope.status();
-    out.old_scope = *old_scope;
-    EXPECT_TRUE(backend.DeleteWhere(*delete_path).ok());
-    ctx.epoch = cache.AdvanceEpoch();
-    auto re = engine::Reannotate(&backend, *policy, triggered, *old_scope,
-                                 &ctx);
-    EXPECT_TRUE(re.ok()) << re.status();
-    out.marked_update = state.marked.ToIds();
-    out.signs_update = signs(&backend);
-    out.fanouts = registry.Snapshot().counters["annotator.shard.fanouts"];
-    return out;
-  };
-
-  ShardConfig forced;
-  forced.threads = 7;
-  forced.min_work = 1;
-  ShardConfig serial;
-  serial.enabled = false;
-  Outcome sharded = run(forced);
-  Outcome plain = run(serial);
-  EXPECT_FALSE(plain.marked_full.empty());
-  EXPECT_EQ(sharded.marked_full, plain.marked_full);
-  EXPECT_EQ(sharded.signs_full, plain.signs_full);
-  EXPECT_EQ(sharded.old_scope, plain.old_scope);
-  EXPECT_EQ(sharded.marked_update, plain.marked_update);
-  EXPECT_EQ(sharded.signs_update, plain.signs_update);
-  EXPECT_GT(sharded.fanouts, 0u);
-  EXPECT_EQ(plain.fanouts, 0u);
-}
-
-// ----- Relational backend: sharded scans == serial -----------------------
-
-TEST(RelationalShardTest, AnnotationSetsMatchSerial) {
-  workload::HospitalGenerator gen;
-  workload::HospitalOptions hopt;
-  hopt.departments = 2;
-  hopt.patients_per_department = 40;
-  xml::Document doc = gen.Generate(hopt);
-  auto dtd = workload::HospitalGenerator::ParseHospitalDtd();
-  ASSERT_TRUE(dtd.ok()) << dtd.status();
-  workload::CoverageOptions copt;
-  copt.target = 0.5;
-  auto policy = workload::GenerateCoveragePolicy(doc, copt);
-  ASSERT_TRUE(policy.ok()) << policy.status();
-  std::vector<size_t> all_rules(policy->size());
-  for (size_t i = 0; i < all_rules.size(); ++i) all_rules[i] = i;
-
-  for (auto storage :
-       {reldb::StorageKind::kRowStore, reldb::StorageKind::kColumnStore}) {
-    engine::RelationalOptions ropt;
-    ropt.storage = storage;
-    auto serial = std::make_unique<engine::RelationalBackend>(ropt);
-    ASSERT_TRUE(serial->Load(*dtd, doc).ok());
-    auto sharded = std::make_unique<engine::RelationalBackend>(ropt);
-    ShardConfig config;
-    config.threads = 7;
-    config.min_work = 1;  // engage even on small tables
-    sharded->SetShardConfig(config);
-    ASSERT_TRUE(sharded->Load(*dtd, doc).ok());
-
-    for (policy::CombineOp combine :
-         {policy::CombineOp::kGrants, policy::CombineOp::kGrantsExceptDenies,
-          policy::CombineOp::kDenies, policy::CombineOp::kDeniesExceptGrants}) {
-      auto a = sharded->EvaluateAnnotationSet(*policy, all_rules, combine);
-      auto b = serial->EvaluateAnnotationSet(*policy, all_rules, combine);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) EXPECT_EQ(*a, *b);
-    }
-
-    // SetSigns resolves ids through the directory and never shards; a
-    // sharded backend still lands the same signs as a serial one.
-    auto targets = serial->EvaluateAnnotationSet(
-        *policy, all_rules, policy::CombineOp::kGrants);
-    ASSERT_TRUE(targets.ok());
-    ASSERT_TRUE(sharded->SetSigns(*targets, '+').ok());
-    ASSERT_TRUE(serial->SetSigns(*targets, '+').ok());
-    for (UniversalId id : *targets) {
-      auto a = sharded->GetSign(id);
-      auto b = serial->GetSign(id);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) EXPECT_EQ(*a, *b);
-    }
   }
 }
 
