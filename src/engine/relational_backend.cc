@@ -14,20 +14,6 @@ namespace xmlac::engine {
 using reldb::CompoundSelect;
 using reldb::Value;
 
-namespace {
-// The id column of a SELECT result in ascending id (document) order.  A
-// span of its own: on large answers converting the result rows and freeing
-// them (inside the span, hence the explicit reset) is a visible share of a
-// read next to the O(1)-per-node sign check.
-std::vector<UniversalId> SortedIds(reldb::ResultSet rs) {
-  obs::ScopedSpan span("reldb.result_ids");
-  std::vector<UniversalId> ids = rs.IdColumn();
-  rs = reldb::ResultSet();
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-}  // namespace
-
 RelationalBackend::RelationalBackend(const RelationalOptions& options)
     : options_(options) {}
 
@@ -110,8 +96,7 @@ Result<std::vector<UniversalId>> RelationalBackend::EvaluateQuery(
   XMLAC_ASSIGN_OR_RETURN(shred::SqlTranslation tr,
                          shred::TranslateXPath(query, *mapping_));
   if (tr.empty) return std::vector<UniversalId>{};
-  XMLAC_ASSIGN_OR_RETURN(reldb::ResultSet rs, exec_->ExecuteSelect(tr.query));
-  return SortedIds(std::move(rs));
+  return exec_->SelectIds(tr.query);
 }
 
 Result<CompoundSelect> RelationalBackend::CompileAnnotationSql(
@@ -171,8 +156,7 @@ Result<std::vector<UniversalId>> RelationalBackend::EvaluateAnnotationSet(
     }
     return compiled.status();
   }
-  XMLAC_ASSIGN_OR_RETURN(reldb::ResultSet rs, exec_->ExecuteSelect(*compiled));
-  return SortedIds(std::move(rs));
+  return exec_->SelectIds(*compiled);
 }
 
 Status RelationalBackend::SetSigns(const std::vector<UniversalId>& ids,
@@ -342,8 +326,10 @@ Result<size_t> RelationalBackend::DeleteWhere(const xpath::Path& u) {
       const reldb::Table* t = ref.table;
       size_t pid_col = *t->schema().ColumnIndex(shred::kPidColumn);
       for (UniversalId parent : frontier) {
-        for (reldb::RowIdx i :
-             t->IndexLookup(pid_col, Value::Int(parent))) {
+        const std::vector<reldb::RowIdx>* children =
+            t->IndexProbe(pid_col, Value::Int(parent));
+        if (children == nullptr) continue;
+        for (reldb::RowIdx i : *children) {
           UniversalId child = t->GetValue(i, ref.id_col).AsInt();
           if (doomed.insert(child).second) next.push_back(child);
         }

@@ -35,7 +35,8 @@ struct RelationalOptions {
   // (the paper's loading path) instead of inserting rows directly.
   bool load_via_sql = true;
   // Hash indexes on id/pid.  Disabling forces full scans in the annotation
-  // loop's point updates (ablation A3).  GetSign reads through the id
+  // loop's point updates and turns every SELECT's pid index join into a
+  // per-query scan-and-hash join (ablation A3).  GetSign reads through the id
   // directory and works either way; DeleteWhere (whose subtree walk needs
   // the pid index) and InsertUnder return kUnsupported without indexes.
   bool create_indexes = true;

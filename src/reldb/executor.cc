@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <numeric>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -87,63 +90,82 @@ class Binder {
   const std::vector<Slot>& slots_;
 };
 
-// A partial join tuple: row index per bound slot.
-using TupleRows = std::vector<RowIdx>;
+// A WHERE expression whose column references are resolved to (slot,
+// column) once per statement; `expr` is the source node (kind, operator,
+// literal).
+struct BoundExpr {
+  const Expr* expr = nullptr;
+  BoundColumn column;  // kColumnRef
+  std::vector<BoundExpr> children;
+};
 
-// Evaluates `e` against a tuple whose slots [0, bound) are set.  Returns
-// error for references to unbound slots (callers pre-classify, so this only
-// fires on malformed residual placement — treated as Internal).
+// Binds `e` in a boolean (or, with `scalar`, a value) position and adds the
+// slots it references to `slots`.
+Result<BoundExpr> BindExpr(const Expr& e, const Binder& binder, bool scalar,
+                           std::vector<size_t>* slots) {
+  BoundExpr out;
+  out.expr = &e;
+  bool is_scalar =
+      e.kind == ExprKind::kLiteral || e.kind == ExprKind::kColumnRef;
+  if (is_scalar != scalar) {
+    return Status::InvalidArgument(
+        std::string(scalar ? "expected scalar" : "expected boolean") +
+        " expression: " + e.ToString());
+  }
+  if (e.kind == ExprKind::kColumnRef) {
+    XMLAC_ASSIGN_OR_RETURN(out.column, binder.Bind(e.column));
+    if (std::find(slots->begin(), slots->end(), out.column.slot) ==
+        slots->end()) {
+      slots->push_back(out.column.slot);
+    }
+    return out;
+  }
+  // AND/OR/NOT combine conditions; IS NULL and comparisons take values.
+  bool scalar_children =
+      e.kind == ExprKind::kIsNull || e.kind == ExprKind::kComparison;
+  out.children.reserve(e.children.size());
+  for (const ExprPtr& c : e.children) {
+    XMLAC_ASSIGN_OR_RETURN(BoundExpr bc,
+                           BindExpr(*c, binder, scalar_children, slots));
+    out.children.push_back(std::move(bc));
+  }
+  return out;
+}
+
+// Evaluates bound expressions against a tuple: one row index per slot, at
+// least up to the highest slot the expression references.
 class ExprEvaluator {
  public:
-  ExprEvaluator(const std::vector<Slot>& slots, const Binder& binder)
-      : slots_(slots), binder_(binder) {}
+  explicit ExprEvaluator(const std::vector<Slot>& slots) : slots_(slots) {}
 
-  Result<Value> EvalValue(const Expr& e, const TupleRows& tuple) const {
-    switch (e.kind) {
-      case ExprKind::kLiteral:
-        return e.literal;
-      case ExprKind::kColumnRef: {
-        XMLAC_ASSIGN_OR_RETURN(BoundColumn bc, binder_.Bind(e.column));
-        if (bc.slot >= tuple.size()) {
-          return Status::Internal("reference to unbound slot");
-        }
-        return slots_[bc.slot].table->GetValue(tuple[bc.slot], bc.col);
-      }
-      default:
-        return Status::Internal("expected scalar expression");
-    }
+  const Value& EvalValue(const BoundExpr& e,
+                         std::span<const RowIdx> tuple) const {
+    if (e.expr->kind == ExprKind::kLiteral) return e.expr->literal;
+    return slots_[e.column.slot].table->GetValue(tuple[e.column.slot],
+                                                 e.column.col);
   }
 
-  Result<bool> EvalBool(const Expr& e, const TupleRows& tuple) const {
-    switch (e.kind) {
-      case ExprKind::kAnd: {
-        XMLAC_ASSIGN_OR_RETURN(bool l, EvalBool(*e.children[0], tuple));
-        if (!l) return false;
-        return EvalBool(*e.children[1], tuple);
-      }
-      case ExprKind::kOr: {
-        XMLAC_ASSIGN_OR_RETURN(bool l, EvalBool(*e.children[0], tuple));
-        if (l) return true;
-        return EvalBool(*e.children[1], tuple);
-      }
-      case ExprKind::kNot: {
-        XMLAC_ASSIGN_OR_RETURN(bool v, EvalBool(*e.children[0], tuple));
-        return !v;
-      }
-      case ExprKind::kIsNull: {
-        XMLAC_ASSIGN_OR_RETURN(Value v, EvalValue(*e.children[0], tuple));
-        return v.is_null();
-      }
+  bool EvalBool(const BoundExpr& e, std::span<const RowIdx> tuple) const {
+    switch (e.expr->kind) {
+      case ExprKind::kAnd:
+        return EvalBool(e.children[0], tuple) &&
+               EvalBool(e.children[1], tuple);
+      case ExprKind::kOr:
+        return EvalBool(e.children[0], tuple) ||
+               EvalBool(e.children[1], tuple);
+      case ExprKind::kNot:
+        return !EvalBool(e.children[0], tuple);
+      case ExprKind::kIsNull:
+        return EvalValue(e.children[0], tuple).is_null();
       case ExprKind::kComparison: {
-        XMLAC_ASSIGN_OR_RETURN(Value l, EvalValue(*e.children[0], tuple));
-        XMLAC_ASSIGN_OR_RETURN(Value r, EvalValue(*e.children[1], tuple));
         int cmp;
-        if (!l.SqlCompare(r, &cmp)) {
-          // NULL / incomparable: false, except `<>` between comparable-but-
-          // unequal types which we also leave false (SQL-NULL-ish).
+        // NULL / incomparable: false, except `<>` between comparable-but-
+        // unequal types which we also leave false (SQL-NULL-ish).
+        if (!EvalValue(e.children[0], tuple)
+                 .SqlCompare(EvalValue(e.children[1], tuple), &cmp)) {
           return false;
         }
-        switch (e.op) {
+        switch (e.expr->op) {
           case CompareOp::kEq:
             return cmp == 0;
           case CompareOp::kNe:
@@ -160,37 +182,21 @@ class ExprEvaluator {
         return false;
       }
       default:
-        return Status::Internal("expected boolean expression");
+        return false;  // BindExpr admits only the kinds above here
     }
+  }
+
+  bool AllTrue(const std::vector<BoundExpr>& conjuncts,
+               std::span<const RowIdx> tuple) const {
+    for (const BoundExpr& c : conjuncts) {
+      if (!EvalBool(c, tuple)) return false;
+    }
+    return true;
   }
 
  private:
   const std::vector<Slot>& slots_;
-  const Binder& binder_;
 };
-
-// Collects the distinct slots referenced by an expression.  Returns false
-// when a column fails to bind (the caller re-binds to surface the error).
-bool CollectSlots(const Expr& e, const Binder& binder,
-                  std::vector<size_t>* slots) {
-  switch (e.kind) {
-    case ExprKind::kLiteral:
-      return true;
-    case ExprKind::kColumnRef: {
-      auto bc = binder.Bind(e.column);
-      if (!bc.ok()) return false;
-      if (std::find(slots->begin(), slots->end(), bc->slot) == slots->end()) {
-        slots->push_back(bc->slot);
-      }
-      return true;
-    }
-    default:
-      for (const ExprPtr& c : e.children) {
-        if (!CollectSlots(*c, binder, slots)) return false;
-      }
-      return true;
-  }
-}
 
 // Recognizes `a.x = b.y` between different slots.
 struct EquiJoin {
@@ -198,51 +204,38 @@ struct EquiJoin {
   BoundColumn right;  // higher slot
 };
 
-std::optional<EquiJoin> AsEquiJoin(const Expr& e, const Binder& binder) {
-  if (e.kind != ExprKind::kComparison || e.op != CompareOp::kEq) {
+std::optional<EquiJoin> AsEquiJoin(const BoundExpr& e) {
+  if (e.expr->kind != ExprKind::kComparison || e.expr->op != CompareOp::kEq) {
     return std::nullopt;
   }
-  const Expr& l = *e.children[0];
-  const Expr& r = *e.children[1];
-  if (l.kind != ExprKind::kColumnRef || r.kind != ExprKind::kColumnRef) {
+  const BoundExpr& l = e.children[0];
+  const BoundExpr& r = e.children[1];
+  if (l.expr->kind != ExprKind::kColumnRef ||
+      r.expr->kind != ExprKind::kColumnRef ||
+      l.column.slot == r.column.slot) {
     return std::nullopt;
   }
-  auto bl = binder.Bind(l.column);
-  auto br = binder.Bind(r.column);
-  if (!bl.ok() || !br.ok() || bl->slot == br->slot) return std::nullopt;
-  EquiJoin j;
-  if (bl->slot < br->slot) {
-    j.left = *bl;
-    j.right = *br;
-  } else {
-    j.left = *br;
-    j.right = *bl;
-  }
-  return j;
+  return l.column.slot < r.column.slot ? EquiJoin{l.column, r.column}
+                                       : EquiJoin{r.column, l.column};
 }
 
 // Recognizes `col = literal` over a single slot; returns (bound, value).
-std::optional<std::pair<BoundColumn, Value>> AsPointFilter(
-    const Expr& e, const Binder& binder) {
-  if (e.kind != ExprKind::kComparison || e.op != CompareOp::kEq) {
+std::optional<std::pair<BoundColumn, const Value*>> AsPointFilter(
+    const BoundExpr& e) {
+  if (e.expr->kind != ExprKind::kComparison || e.expr->op != CompareOp::kEq) {
     return std::nullopt;
   }
-  const Expr& l = *e.children[0];
-  const Expr& r = *e.children[1];
-  const Expr* col = nullptr;
-  const Expr* lit = nullptr;
-  if (l.kind == ExprKind::kColumnRef && r.kind == ExprKind::kLiteral) {
-    col = &l;
-    lit = &r;
-  } else if (r.kind == ExprKind::kColumnRef && l.kind == ExprKind::kLiteral) {
-    col = &r;
-    lit = &l;
-  } else {
-    return std::nullopt;
+  const BoundExpr& l = e.children[0];
+  const BoundExpr& r = e.children[1];
+  if (l.expr->kind == ExprKind::kColumnRef &&
+      r.expr->kind == ExprKind::kLiteral) {
+    return std::make_pair(l.column, &r.expr->literal);
   }
-  auto bc = binder.Bind(col->column);
-  if (!bc.ok()) return std::nullopt;
-  return std::make_pair(*bc, lit->literal);
+  if (r.expr->kind == ExprKind::kColumnRef &&
+      l.expr->kind == ExprKind::kLiteral) {
+    return std::make_pair(r.column, &l.expr->literal);
+  }
+  return std::nullopt;
 }
 
 void DedupeRows(ResultSet* rs) {
@@ -283,9 +276,10 @@ class StatsDeltaReporter {
 
 // Per-slot execution strategy derived from the WHERE conjuncts.
 struct SlotPlan {
-  std::vector<const Expr*> filters;      // single-slot, pushed to the scan
-  std::optional<EquiJoin> hash_join;     // drives a hash join into the slot
-  std::vector<const Expr*> join_checks;  // residual multi-slot conjuncts
+  std::vector<BoundExpr> filters;  // single-slot, run on the slot's rows
+  std::optional<EquiJoin> join;    // the equi-join that brings the slot in
+  bool index_join = false;         // `join` probes the slot's index
+  std::vector<BoundExpr> checks;   // residual multi-slot conjuncts
 };
 
 struct SelectPlan {
@@ -294,7 +288,7 @@ struct SelectPlan {
 };
 
 // Binds FROM entries and classifies conjuncts (shared by execution and
-// EXPLAIN).  `q.where` must outlive the plan (conjunct pointers alias it).
+// EXPLAIN).  `q.where` must outlive the plan (bound conjuncts alias it).
 Result<SelectPlan> BuildPlan(const SelectQuery& q, Catalog* catalog) {
   if (q.from.empty()) {
     return Status::InvalidArgument("SELECT requires a FROM clause");
@@ -314,50 +308,140 @@ Result<SelectPlan> BuildPlan(const SelectQuery& q, Catalog* catalog) {
     plan.slots.push_back(Slot{tr.effective_alias(), t});
   }
   Binder binder(plan.slots);
-  ExprEvaluator eval(plan.slots, binder);
   std::vector<const Expr*> conjuncts;
   if (q.where != nullptr) CollectConjuncts(*q.where, &conjuncts);
   plan.per_slot.resize(plan.slots.size());
   for (const Expr* c : conjuncts) {
     std::vector<size_t> used;
-    if (!CollectSlots(*c, binder, &used)) {
-      // Re-evaluate to surface the binding error message.
-      TupleRows dummy(plan.slots.size(), 0);
-      auto st = eval.EvalBool(*c, dummy);
-      return st.ok() ? Status::Internal("bad slot binding") : st.status();
-    }
+    XMLAC_ASSIGN_OR_RETURN(BoundExpr bound,
+                           BindExpr(*c, binder, /*scalar=*/false, &used));
     size_t target =
         used.empty() ? 0 : *std::max_element(used.begin(), used.end());
+    SlotPlan& sp = plan.per_slot[target];
     if (used.size() <= 1) {
-      // References at most one slot: pushable scan filter.
-      plan.per_slot[target].filters.push_back(c);
+      // References at most one slot: filters that slot's rows.
+      sp.filters.push_back(std::move(bound));
       continue;
     }
-    auto join = AsEquiJoin(*c, binder);
+    auto join = AsEquiJoin(bound);
     if (join.has_value() && join->right.slot == target &&
-        !plan.per_slot[target].hash_join.has_value()) {
-      plan.per_slot[target].hash_join = join;
+        !sp.join.has_value()) {
+      sp.join = join;
+      sp.index_join = plan.slots[target].table->HasIndex(join->right.col);
     } else {
       // Any other multi-slot conjunct is checked once all its slots are
       // bound (at `target`).
-      plan.per_slot[target].join_checks.push_back(c);
+      sp.checks.push_back(std::move(bound));
     }
   }
   return plan;
 }
 
-}  // namespace
+// The joined tuples of one SELECT in one arena: `stride` row indices per
+// tuple, one per slot bound so far.
+struct Tuples {
+  size_t stride = 1;
+  std::vector<RowIdx> rows;
 
-std::vector<int64_t> ResultSet::IdColumn() const {
-  std::vector<int64_t> out;
-  out.reserve(rows.size());
-  for (const Row& r : rows) {
-    if (!r.empty() && r[0].type() == ValueType::kInt64) {
-      out.push_back(r[0].AsInt());
+  size_t size() const { return rows.size() / stride; }
+  std::span<const RowIdx> operator[](size_t k) const {
+    return {rows.data() + k * stride, stride};
+  }
+};
+
+// The join core behind every SELECT: a left-deep join in FROM order.  Slot 0
+// is scanned.  A later slot whose equi-join column has a persistent index is
+// probed once per outer tuple (index nested-loop join), so only the probed
+// rows are read; any other slot is scanned and filtered once, then hash
+// joined on its equi-join or cross joined.  `rows_scanned` counts the rows
+// read: every alive row of a scanned slot, every probed row of an indexed
+// one.
+Tuples Join(const SelectPlan& plan, ExecStats* stats) {
+  const std::vector<Slot>& slots = plan.slots;
+  ExprEvaluator eval(slots);
+  Tuples out;
+  {
+    const Table* t = slots[0].table;
+    const std::vector<BoundExpr>& filters = plan.per_slot[0].filters;
+    out.rows.reserve(t->AliveCount());
+    for (RowIdx i = 0; i < t->Capacity(); ++i) {
+      if (t->IsAlive(i) && eval.AllTrue(filters, {&i, 1})) {
+        out.rows.push_back(i);
+      }
     }
+    stats->rows_scanned += t->AliveCount();
+  }
+  for (size_t s = 1; s < slots.size() && !out.rows.empty(); ++s) {
+    const Table* t = slots[s].table;
+    const SlotPlan& sp = plan.per_slot[s];
+    Tuples next;
+    next.stride = s + 1;
+    // Appends outer tuple `k` extended by row `i` of slot s, and keeps it
+    // when the slot's filters (unless already applied) and checks hold.
+    auto extend = [&](size_t k, RowIdx i, bool filtered) {
+      std::span<const RowIdx> outer = out[k];
+      next.rows.insert(next.rows.end(), outer.begin(), outer.end());
+      next.rows.push_back(i);
+      std::span<const RowIdx> tuple = next[next.size() - 1];
+      if ((!filtered && !eval.AllTrue(sp.filters, tuple)) ||
+          !eval.AllTrue(sp.checks, tuple)) {
+        next.rows.resize(next.rows.size() - next.stride);
+      }
+    };
+    if (sp.index_join) {
+      const EquiJoin& j = *sp.join;
+      const Table* outer_t = slots[j.left.slot].table;
+      ++stats->index_hits;
+      for (size_t k = 0; k < out.size(); ++k) {
+        const Value& probe = outer_t->GetValue(out[k][j.left.slot], j.left.col);
+        if (probe.is_null()) continue;
+        const std::vector<RowIdx>* bucket = t->IndexProbe(j.right.col, probe);
+        if (bucket == nullptr) continue;
+        stats->rows_scanned += bucket->size();
+        for (RowIdx i : *bucket) extend(k, i, /*filtered=*/false);
+      }
+    } else {
+      // Candidate rows for this slot, after its filters (which reference
+      // slot s alone, so the padding rows are never read).
+      std::vector<RowIdx> candidates;
+      candidates.reserve(t->AliveCount());
+      std::vector<RowIdx> padded(s + 1, 0);
+      for (RowIdx i = 0; i < t->Capacity(); ++i) {
+        if (!t->IsAlive(i)) continue;
+        padded[s] = i;
+        if (eval.AllTrue(sp.filters, padded)) candidates.push_back(i);
+      }
+      stats->rows_scanned += t->AliveCount();
+      if (sp.join.has_value()) {
+        const EquiJoin& j = *sp.join;
+        const Table* outer_t = slots[j.left.slot].table;
+        // Build on the new table's join column.
+        std::unordered_map<Value, std::vector<RowIdx>, ValueHash> hash;
+        for (RowIdx i : candidates) {
+          const Value& v = t->GetValue(i, j.right.col);
+          if (!v.is_null()) hash[v].push_back(i);
+        }
+        for (size_t k = 0; k < out.size(); ++k) {
+          const Value& probe =
+              outer_t->GetValue(out[k][j.left.slot], j.left.col);
+          if (probe.is_null()) continue;
+          auto it = hash.find(probe);
+          if (it == hash.end()) continue;
+          for (RowIdx i : it->second) extend(k, i, /*filtered=*/true);
+        }
+      } else {
+        // Nested-loop cross join.
+        for (size_t k = 0; k < out.size(); ++k) {
+          for (RowIdx i : candidates) extend(k, i, /*filtered=*/true);
+        }
+      }
+    }
+    out = std::move(next);
   }
   return out;
 }
+
+}  // namespace
 
 std::string ResultSet::ToString() const {
   std::string out;
@@ -378,118 +462,10 @@ std::string ResultSet::ToString() const {
 
 Result<ResultSet> Executor::ExecuteSingleSelect(const SelectQuery& q) {
   ++stats_.statements;
-  XMLAC_ASSIGN_OR_RETURN(SelectPlan built, BuildPlan(q, catalog_));
-  std::vector<Slot>& slots = built.slots;
-  std::vector<SlotPlan>& plans = built.per_slot;
+  XMLAC_ASSIGN_OR_RETURN(SelectPlan plan, BuildPlan(q, catalog_));
+  const std::vector<Slot>& slots = plan.slots;
   Binder binder(slots);
-  ExprEvaluator eval(slots, binder);
-
-  // Seed with slot 0.
-  std::vector<TupleRows> tuples;
-  {
-    Table* t = slots[0].table;
-    tuples.reserve(t->AliveCount());
-    for (RowIdx i = 0; i < t->Capacity(); ++i) {
-      if (!t->IsAlive(i)) continue;
-      TupleRows tup = {i};
-      bool pass = true;
-      for (const Expr* f : plans[0].filters) {
-        XMLAC_ASSIGN_OR_RETURN(bool ok, eval.EvalBool(*f, tup));
-        if (!ok) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) tuples.push_back(std::move(tup));
-    }
-    stats_.rows_scanned += t->AliveCount();
-  }
-
-  // Join in remaining slots.
-  for (size_t s = 1; s < slots.size(); ++s) {
-    Table* t = slots[s].table;
-    const SlotPlan& plan = plans[s];
-    // Candidate row list for this slot, after pushed filters.
-    std::vector<RowIdx> candidates;
-    candidates.reserve(t->AliveCount());
-    for (RowIdx i = 0; i < t->Capacity(); ++i) {
-      if (!t->IsAlive(i)) continue;
-      ++stats_.rows_scanned;
-      candidates.push_back(i);
-    }
-    // Pushed single-slot filters need a tuple with slot `s` bound; evaluate
-    // them against a padded tuple.
-    if (!plan.filters.empty()) {
-      std::vector<RowIdx> filtered;
-      filtered.reserve(candidates.size());
-      TupleRows padded(s + 1, 0);
-      for (RowIdx i : candidates) {
-        padded[s] = i;
-        bool pass = true;
-        for (const Expr* f : plan.filters) {
-          // Filters classified to slot s reference only slot s (single-slot
-          // conjunct), so the padding rows are never read.
-          XMLAC_ASSIGN_OR_RETURN(bool ok, eval.EvalBool(*f, padded));
-          if (!ok) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) filtered.push_back(i);
-      }
-      candidates = std::move(filtered);
-    }
-
-    std::vector<TupleRows> next;
-    if (plan.hash_join.has_value()) {
-      const EquiJoin& j = *plan.hash_join;
-      // Build on the new table's join column.
-      std::unordered_map<Value, std::vector<RowIdx>, ValueHash> hash;
-      for (RowIdx i : candidates) {
-        Value v = t->GetValue(i, j.right.col);
-        if (!v.is_null()) hash[std::move(v)].push_back(i);
-      }
-      for (const TupleRows& tup : tuples) {
-        Value probe =
-            slots[j.left.slot].table->GetValue(tup[j.left.slot], j.left.col);
-        if (probe.is_null()) continue;
-        auto it = hash.find(probe);
-        if (it == hash.end()) continue;
-        for (RowIdx i : it->second) {
-          TupleRows grown = tup;
-          grown.push_back(i);
-          next.push_back(std::move(grown));
-        }
-      }
-    } else {
-      // Nested-loop cross join.
-      for (const TupleRows& tup : tuples) {
-        for (RowIdx i : candidates) {
-          TupleRows grown = tup;
-          grown.push_back(i);
-          next.push_back(std::move(grown));
-        }
-      }
-    }
-    // Apply remaining join checks for this slot.
-    if (!plan.join_checks.empty()) {
-      std::vector<TupleRows> checked;
-      for (TupleRows& tup : next) {
-        bool pass = true;
-        for (const Expr* c : plan.join_checks) {
-          XMLAC_ASSIGN_OR_RETURN(bool ok, eval.EvalBool(*c, tup));
-          if (!ok) {
-            pass = false;
-            break;
-          }
-        }
-        if (pass) checked.push_back(std::move(tup));
-      }
-      next = std::move(checked);
-    }
-    tuples = std::move(next);
-    if (tuples.empty()) break;
-  }
+  Tuples tuples = Join(plan, &stats_);
 
   // COUNT(*): aggregate over the joined tuples.
   if (q.count_star) {
@@ -501,23 +477,23 @@ Result<ResultSet> Executor::ExecuteSingleSelect(const SelectQuery& q) {
   }
 
   // ORDER BY: sort the full tuples (any bound column may be referenced).
+  std::vector<size_t> order(tuples.size());
+  std::iota(order.begin(), order.end(), size_t{0});
   if (!q.order_by.empty()) {
     std::vector<std::pair<BoundColumn, bool>> keys;
     for (const OrderTerm& term : q.order_by) {
       XMLAC_ASSIGN_OR_RETURN(BoundColumn bc, binder.Bind(term.column));
       keys.emplace_back(bc, term.descending);
     }
-    std::stable_sort(
-        tuples.begin(), tuples.end(),
-        [&](const TupleRows& a, const TupleRows& b) {
-          for (const auto& [bc, desc] : keys) {
-            Value va = slots[bc.slot].table->GetValue(a[bc.slot], bc.col);
-            Value vb = slots[bc.slot].table->GetValue(b[bc.slot], bc.col);
-            int cmp = va.TotalCompare(vb);
-            if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
-          }
-          return false;
-        });
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      for (const auto& [bc, desc] : keys) {
+        const Table* t = slots[bc.slot].table;
+        int cmp = t->GetValue(tuples[a][bc.slot], bc.col)
+                      .TotalCompare(t->GetValue(tuples[b][bc.slot], bc.col));
+        if (cmp != 0) return desc ? cmp > 0 : cmp < 0;
+      }
+      return false;
+    });
   }
 
   // Project.
@@ -529,11 +505,11 @@ Result<ResultSet> Executor::ExecuteSingleSelect(const SelectQuery& q) {
     rs.columns.push_back(ref.column);
   }
   rs.rows.reserve(tuples.size());
-  for (const TupleRows& tup : tuples) {
+  for (size_t k : order) {
     Row row;
     row.reserve(proj.size());
     for (const BoundColumn& bc : proj) {
-      row.push_back(slots[bc.slot].table->GetValue(tup[bc.slot], bc.col));
+      row.push_back(slots[bc.slot].table->GetValue(tuples[k][bc.slot], bc.col));
     }
     rs.rows.push_back(std::move(row));
   }
@@ -578,6 +554,64 @@ Result<ResultSet> Executor::ExecuteCompound(const CompoundSelect& q) {
     }
   }
   return acc;
+}
+
+Result<std::vector<int64_t>> Executor::SelectIds(const CompoundSelect& q) {
+  obs::ScopedTimer timer("reldb.select_us");
+  StatsDeltaReporter reporter(&stats_);
+  return CompoundIds(q);
+}
+
+Result<std::vector<int64_t>> Executor::CompoundIds(const CompoundSelect& q) {
+  XMLAC_ASSIGN_OR_RETURN(std::vector<int64_t> acc, SingleSelectIds(q.first));
+  std::vector<int64_t> merged;
+  for (const auto& [op, sub] : q.rest) {
+    XMLAC_ASSIGN_OR_RETURN(std::vector<int64_t> rhs, CompoundIds(sub));
+    merged.clear();
+    if (op == CompoundSelect::SetOp::kUnion) {
+      std::set_union(acc.begin(), acc.end(), rhs.begin(), rhs.end(),
+                     std::back_inserter(merged));
+    } else {
+      std::set_difference(acc.begin(), acc.end(), rhs.begin(), rhs.end(),
+                          std::back_inserter(merged));
+    }
+    acc.swap(merged);
+  }
+  return acc;
+}
+
+Result<std::vector<int64_t>> Executor::SingleSelectIds(const SelectQuery& q) {
+  ++stats_.statements;
+  if (q.count_star || q.select.size() != 1 || !q.order_by.empty() ||
+      q.limit.has_value()) {
+    return Status::InvalidArgument(
+        "SelectIds takes selects of one column without COUNT(*), ORDER BY "
+        "or LIMIT: " +
+        q.ToSql());
+  }
+  XMLAC_ASSIGN_OR_RETURN(SelectPlan plan, BuildPlan(q, catalog_));
+  XMLAC_ASSIGN_OR_RETURN(BoundColumn id, Binder(plan.slots).Bind(q.select[0]));
+  const Table* t = plan.slots[id.slot].table;
+  if (t->schema().columns()[id.col].type != ValueType::kInt64) {
+    return Status::InvalidArgument("SelectIds takes an INT column, not " +
+                                   t->name() + "." + q.select[0].column);
+  }
+  Tuples tuples = Join(plan, &stats_);
+  std::vector<int64_t> ids;
+  ids.reserve(tuples.size());
+  for (size_t at = id.slot; at < tuples.rows.size(); at += tuples.stride) {
+    const Value& v = t->GetValue(tuples.rows[at], id.col);
+    if (v.type() != ValueType::kInt64) {
+      return Status::InvalidArgument("SelectIds met " + v.ToSqlLiteral() +
+                                     " in " + t->name() + "." +
+                                     q.select[0].column);
+    }
+    ids.push_back(v.AsInt());
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  stats_.rows_output += ids.size();
+  return ids;
 }
 
 Result<size_t> Executor::ExecuteInsert(const InsertStatement& st) {
@@ -633,37 +667,35 @@ Result<std::vector<RowIdx>> MatchRows(Table* t, const Expr* where,
                                       ExecStats* stats) {
   std::vector<Slot> slots = {Slot{t->name(), t}};
   Binder binder(slots);
-  ExprEvaluator eval(slots, binder);
-  std::vector<RowIdx> candidates;
+  ExprEvaluator eval(slots);
+  std::vector<BoundExpr> conjuncts;
+  const std::vector<RowIdx>* probed = nullptr;
   bool used_index = false;
   if (where != nullptr) {
-    std::vector<const Expr*> conjuncts;
-    CollectConjuncts(*where, &conjuncts);
-    for (const Expr* c : conjuncts) {
-      auto point = AsPointFilter(*c, binder);
-      if (point.has_value() && t->HasIndex(point->first.col)) {
-        candidates = t->IndexLookup(point->first.col, point->second);
+    std::vector<const Expr*> parts;
+    CollectConjuncts(*where, &parts);
+    std::vector<size_t> used;
+    for (const Expr* c : parts) {
+      XMLAC_ASSIGN_OR_RETURN(BoundExpr bound,
+                             BindExpr(*c, binder, /*scalar=*/false, &used));
+      auto point = AsPointFilter(bound);
+      if (!used_index && point.has_value() && t->HasIndex(point->first.col)) {
+        probed = t->IndexProbe(point->first.col, *point->second);
         used_index = true;
         ++stats->index_hits;
-        break;
       }
+      conjuncts.push_back(std::move(bound));
     }
   }
   std::vector<RowIdx> out;
-  auto filter_row = [&](RowIdx i) -> Result<bool> {
-    if (!t->IsAlive(i)) return false;
+  auto keep = [&](RowIdx i) {
     ++stats->rows_scanned;
-    if (where != nullptr) {
-      TupleRows tup = {i};
-      return eval.EvalBool(*where, tup);
-    }
-    return true;
+    if (eval.AllTrue(conjuncts, {&i, 1})) out.push_back(i);
   };
   if (used_index) {
-    out.reserve(candidates.size());
-    for (RowIdx i : candidates) {
-      XMLAC_ASSIGN_OR_RETURN(bool ok, filter_row(i));
-      if (ok) out.push_back(i);
+    if (probed != nullptr) {
+      out.reserve(probed->size());
+      for (RowIdx i : *probed) keep(i);
     }
   } else {
     // Full scan: filter the arena directly instead of materialising an
@@ -671,8 +703,7 @@ Result<std::vector<RowIdx>> MatchRows(Table* t, const Expr* where,
     // updates land here when indexes are disabled, so the copy shows up).
     out.reserve(t->AliveCount());
     for (RowIdx i = 0; i < t->Capacity(); ++i) {
-      XMLAC_ASSIGN_OR_RETURN(bool ok, filter_row(i));
-      if (ok) out.push_back(i);
+      if (t->IsAlive(i)) keep(i);
     }
   }
   return out;
@@ -763,10 +794,11 @@ Result<std::string> Executor::ExplainSelect(const CompoundSelect& q) {
       out += indent;
       if (s == 0) {
         out += "SCAN " + slot.table->name() + " AS " + slot.alias;
-      } else if (sp.hash_join.has_value()) {
-        const EquiJoin& j = *sp.hash_join;
-        out += "HASH JOIN " + slot.table->name() + " AS " + slot.alias +
-               " ON " + plan.slots[j.left.slot].alias + "." +
+      } else if (sp.join.has_value()) {
+        const EquiJoin& j = *sp.join;
+        out += (sp.index_join ? "INDEX JOIN " : "HASH JOIN ") +
+               slot.table->name() + " AS " + slot.alias + " ON " +
+               plan.slots[j.left.slot].alias + "." +
                plan.slots[j.left.slot]
                    .table->schema()
                    .columns()[j.left.col]
@@ -777,11 +809,11 @@ Result<std::string> Executor::ExplainSelect(const CompoundSelect& q) {
         out += "NESTED LOOP " + slot.table->name() + " AS " + slot.alias;
       }
       out += " (" + std::to_string(slot.table->AliveCount()) + " rows)";
-      for (const Expr* f : sp.filters) {
-        out += "\n" + indent + "  FILTER " + f->ToString();
+      for (const BoundExpr& f : sp.filters) {
+        out += "\n" + indent + "  FILTER " + f.expr->ToString();
       }
-      for (const Expr* c : sp.join_checks) {
-        out += "\n" + indent + "  CHECK " + c->ToString();
+      for (const BoundExpr& c : sp.checks) {
+        out += "\n" + indent + "  CHECK " + c.expr->ToString();
       }
       out += '\n';
     }

@@ -3,12 +3,17 @@
 
 // Query executor.
 //
-// SELECT evaluation is a left-deep join in FROM order.  Equi-join conjuncts
-// (a.x = b.y) drive hash joins; single-table conjuncts are pushed to the
-// scans; everything else is evaluated as a residual filter.  UNION/EXCEPT
-// apply set semantics.  UPDATE/DELETE use a table's hash index when the
-// WHERE clause contains an indexed `col = literal` conjunct — the fast path
-// for the annotation loop's per-tuple sign updates.
+// SELECT evaluation is a left-deep join in FROM order over one arena of
+// flat join tuples.  An equi-join conjunct (a.x = b.y) whose new-side column
+// has a persistent index probes that index once per outer tuple (an index
+// nested-loop join: `child.pid = parent.id` on every shredded table);
+// without an index it drives a per-query hash join.  Single-table conjuncts
+// filter that table's rows; everything else is evaluated as a residual
+// check.  UNION/EXCEPT apply set semantics.  SelectIds runs the same join
+// and projects one integer column straight into a sorted id list.
+// UPDATE/DELETE use a table's hash index when the WHERE clause contains an
+// indexed `col = literal` conjunct — the fast path for the annotation
+// loop's per-tuple sign updates.
 
 #include <string>
 #include <string_view>
@@ -25,8 +30,6 @@ struct ResultSet {
   std::vector<std::string> columns;
   std::vector<Row> rows;
 
-  // Convenience for the id-list results of annotation queries.
-  std::vector<int64_t> IdColumn() const;
   std::string ToString() const;  // aligned debug table
 };
 
@@ -46,6 +49,13 @@ class Executor {
   // as reldb.{select,insert,update,delete}_us histograms) into the current
   // obs registry, once per top-level call.
   Result<ResultSet> ExecuteSelect(const CompoundSelect& q);
+  // The distinct values of a compound whose every operand selects one INT
+  // column (the id lists of XPath and annotation queries), ascending:
+  // projected from the join tuples with no row per result, UNION/EXCEPT as
+  // sorted merges.  Same metrics as ExecuteSelect (reldb.select_us).
+  // InvalidArgument for an operand with another projection, COUNT(*),
+  // ORDER BY or LIMIT, or one that meets a non-integer value.
+  Result<std::vector<int64_t>> SelectIds(const CompoundSelect& q);
   // Returns the number of affected rows.
   Result<size_t> ExecuteInsert(const InsertStatement& st);
   Result<size_t> ExecuteUpdate(const UpdateStatement& st);
@@ -59,10 +69,11 @@ class Executor {
 
   // Human-readable physical plan of a select, e.g.
   //   SCAN patient AS pat1 (3 rows)
-  //   HASH JOIN treatment AS treat1 ON pat1.id = treat1.pid (2 rows)
+  //   INDEX JOIN treatment AS treat1 ON pat1.id = treat1.pid (2 rows)
   //     FILTER treat1.s = '+'
   //   UNION
   //     SCAN regular AS regular1 (1 rows)
+  // (HASH JOIN in place of INDEX JOIN when the join column has no index.)
   Result<std::string> ExplainSelect(const CompoundSelect& q);
 
   // Parse + execute a ';'-separated script, discarding result sets.
@@ -73,9 +84,12 @@ class Executor {
 
  private:
   // Recursive compound-select evaluation; metrics flush happens only in the
-  // public ExecuteSelect wrapper so nested set operands are not double-counted.
+  // public ExecuteSelect / SelectIds wrappers so nested set operands are not
+  // double-counted.
   Result<ResultSet> ExecuteCompound(const CompoundSelect& q);
   Result<ResultSet> ExecuteSingleSelect(const SelectQuery& q);
+  Result<std::vector<int64_t>> CompoundIds(const CompoundSelect& q);
+  Result<std::vector<int64_t>> SingleSelectIds(const SelectQuery& q);
 
   Catalog* catalog_;
   ExecStats stats_;

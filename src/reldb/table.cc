@@ -34,15 +34,27 @@ Status Table::CreateIndex(std::string_view column) {
 
 bool Table::HasIndex(size_t col) const { return indexes_.count(col) > 0; }
 
-std::vector<RowIdx> Table::IndexLookup(size_t col, const Value& v) const {
+const std::vector<RowIdx>* Table::IndexProbe(size_t col,
+                                             const Value& v) const {
   auto it = indexes_.find(col);
-  if (it == indexes_.end()) return {};
+  if (it == indexes_.end()) return nullptr;
   auto vit = it->second.find(v);
-  if (vit == it->second.end()) return {};
-  return vit->second;
+  return vit == it->second.end() ? nullptr : &vit->second;
 }
 
+namespace {
+
+// Buckets hold ascending row indices, so a probe yields rows in the order a
+// scan meets them.
+void BucketErase(std::vector<RowIdx>* bucket, RowIdx idx) {
+  auto it = std::lower_bound(bucket->begin(), bucket->end(), idx);
+  if (it != bucket->end() && *it == idx) bucket->erase(it);
+}
+
+}  // namespace
+
 void Table::IndexOnInsert(RowIdx idx, const Row& row) {
+  // `idx` is past every existing row, so appending keeps buckets sorted.
   for (auto& [col, index] : indexes_) {
     index[row[col]].push_back(idx);
   }
@@ -55,21 +67,19 @@ void Table::IndexOnUpdate(RowIdx idx, size_t col, const Value& old_v,
   auto& index = it->second;
   auto old_it = index.find(old_v);
   if (old_it != index.end()) {
-    auto& vec = old_it->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), idx), vec.end());
-    if (vec.empty()) index.erase(old_it);
+    BucketErase(&old_it->second, idx);
+    if (old_it->second.empty()) index.erase(old_it);
   }
-  index[new_v].push_back(idx);
+  std::vector<RowIdx>& bucket = index[new_v];
+  bucket.insert(std::lower_bound(bucket.begin(), bucket.end(), idx), idx);
 }
 
 void Table::IndexOnDelete(RowIdx idx) {
   for (auto& [col, index] : indexes_) {
-    Value v = GetValue(idx, col);
-    auto vit = index.find(v);
+    auto vit = index.find(GetValue(idx, col));
     if (vit != index.end()) {
-      auto& vec = vit->second;
-      vec.erase(std::remove(vec.begin(), vec.end(), idx), vec.end());
-      if (vec.empty()) index.erase(vit);
+      BucketErase(&vit->second, idx);
+      if (vit->second.empty()) index.erase(vit);
     }
   }
 }

@@ -51,7 +51,8 @@ class Table {
   virtual size_t AliveCount() const = 0;
   virtual bool IsAlive(RowIdx idx) const = 0;
 
-  virtual Value GetValue(RowIdx idx, size_t col) const = 0;
+  // The stored value; the reference is valid until the table is mutated.
+  virtual const Value& GetValue(RowIdx idx, size_t col) const = 0;
   virtual void SetValue(RowIdx idx, size_t col, Value v) = 0;
   virtual void DeleteRow(RowIdx idx) = 0;
 
@@ -61,12 +62,15 @@ class Table {
   // --- Hash index support ------------------------------------------------
   // A table may carry persistent equality indexes on single columns,
   // maintained across inserts/updates/deletes.  Used for the point UPDATEs
-  // of the annotation loop (WHERE id = ...).
+  // of the annotation loop (WHERE id = ...) and for the SELECT's index
+  // joins (child.pid = parent.id).
   Status CreateIndex(std::string_view column);
   bool HasIndex(size_t col) const;
-  // Row indices whose `col` equals `v` (empty when no index; callers must
-  // check HasIndex first).
-  std::vector<RowIdx> IndexLookup(size_t col, const Value& v) const;
+  // The alive rows whose `col` equals `v`, in ascending RowIdx order, or
+  // null when none does or `col` has no index (callers check HasIndex
+  // first).  The bucket is the index's own: valid until the table is
+  // mutated.
+  const std::vector<RowIdx>* IndexProbe(size_t col, const Value& v) const;
 
  protected:
   // Subclasses call these around every mutation to keep indexes fresh.
@@ -99,7 +103,7 @@ class RowStoreTable final : public Table {
   bool IsAlive(RowIdx idx) const override {
     return idx < valid_.size() && valid_[idx];
   }
-  Value GetValue(RowIdx idx, size_t col) const override {
+  const Value& GetValue(RowIdx idx, size_t col) const override {
     return flat_[idx * stride_ + col];
   }
   void SetValue(RowIdx idx, size_t col, Value v) override;
@@ -129,7 +133,7 @@ class ColumnStoreTable final : public Table {
   bool IsAlive(RowIdx idx) const override {
     return idx < valid_.size() && valid_[idx];
   }
-  Value GetValue(RowIdx idx, size_t col) const override {
+  const Value& GetValue(RowIdx idx, size_t col) const override {
     return columns_[col][idx];
   }
   void SetValue(RowIdx idx, size_t col, Value v) override;

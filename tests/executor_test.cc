@@ -57,10 +57,14 @@ class ExecutorTest : public ::testing::TestWithParam<StorageKind> {
     )");
   }
 
-  std::vector<int64_t> SortedIds(const ResultSet& rs) {
-    auto ids = rs.IdColumn();
-    std::sort(ids.begin(), ids.end());
-    return ids;
+  // The query's id list through SelectIds.
+  std::vector<int64_t> Ids(std::string_view sql) {
+    auto st = ParseSql(sql);
+    EXPECT_TRUE(st.ok()) << st.status() << " for: " << sql;
+    if (!st.ok()) return {};
+    auto ids = exec_.SelectIds(st->select);
+    EXPECT_TRUE(ids.ok()) << ids.status() << " for: " << sql;
+    return ids.ok() ? *ids : std::vector<int64_t>{};
   }
 
   Catalog catalog_;
@@ -69,34 +73,33 @@ class ExecutorTest : public ::testing::TestWithParam<StorageKind> {
 
 TEST_P(ExecutorTest, CreateInsertSelect) {
   LoadHospital();
-  ResultSet rs = MustQuery("SELECT p.id FROM patient p");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{2, 9, 16}));
+  EXPECT_EQ(Ids("SELECT p.id FROM patient p"),
+            (std::vector<int64_t>{2, 9, 16}));
 }
 
 TEST_P(ExecutorTest, SelectWithFilter) {
   LoadHospital();
   ResultSet rs = MustQuery("SELECT p.id FROM patient p WHERE p.pid = 1");
   EXPECT_EQ(rs.rows.size(), 3u);
-  rs = MustQuery("SELECT b.id FROM bill b WHERE b.v = '700'");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{7}));
+  EXPECT_EQ(Ids("SELECT b.id FROM bill b WHERE b.v = '700'"),
+            (std::vector<int64_t>{7}));
 }
 
 TEST_P(ExecutorTest, PaperRuleR1Join) {
   LoadHospital();
   // Q1: all patient ids under a patients element.
-  ResultSet rs = MustQuery(
-      "SELECT pat1.id FROM patients pats1, patient pat1 "
-      "WHERE pats1.id = pat1.pid");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{2, 9, 16}));
+  EXPECT_EQ(Ids("SELECT pat1.id FROM patients pats1, patient pat1 "
+                "WHERE pats1.id = pat1.pid"),
+            (std::vector<int64_t>{2, 9, 16}));
 }
 
 TEST_P(ExecutorTest, PaperRuleR3Join) {
   LoadHospital();
   // Q3: patients that have a treatment child.
-  ResultSet rs = MustQuery(
-      "SELECT pat1.id FROM patients pats1, patient pat1, treatment treat1 "
-      "WHERE pats1.id = pat1.pid AND pat1.id = treat1.pid");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{2, 9}));
+  EXPECT_EQ(Ids("SELECT pat1.id FROM patients pats1, patient pat1, "
+                "treatment treat1 "
+                "WHERE pats1.id = pat1.pid AND pat1.id = treat1.pid"),
+            (std::vector<int64_t>{2, 9}));
 }
 
 TEST_P(ExecutorTest, PaperRuleR7JoinWithValue) {
@@ -108,20 +111,19 @@ TEST_P(ExecutorTest, PaperRuleR7JoinWithValue) {
       "AND treat1.id = regular1.pid AND regular1.id = med1.pid "
       "AND med1.v = 'celecoxib'");
   EXPECT_TRUE(rs.rows.empty());
-  rs = MustQuery(
-      "SELECT med1.id FROM patients pats1, patient pat1, treatment treat1, "
-      "regular regular1, med med1 "
-      "WHERE pats1.id = pat1.pid AND pat1.id = treat1.pid "
-      "AND treat1.id = regular1.pid AND regular1.id = med1.pid "
-      "AND med1.v = 'enoxaparin'");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{6}));
+  EXPECT_EQ(Ids("SELECT med1.id FROM patients pats1, patient pat1, "
+                "treatment treat1, regular regular1, med med1 "
+                "WHERE pats1.id = pat1.pid AND pat1.id = treat1.pid "
+                "AND treat1.id = regular1.pid AND regular1.id = med1.pid "
+                "AND med1.v = 'enoxaparin'"),
+            (std::vector<int64_t>{6}));
 }
 
 TEST_P(ExecutorTest, PaperAnnotationQueryShape) {
   LoadHospital();
   // (Q1 UNION Q2 UNION Q6) EXCEPT (Q3 UNION Q5): ids accessible under the
   // redundancy-free policy of Table 3.
-  ResultSet rs = MustQuery(R"(
+  std::vector<int64_t> ids = Ids(R"(
     SELECT pat.id FROM patients pats, patient pat WHERE pats.id = pat.pid
     UNION
     SELECT n.id FROM patients pats, patient pat, name n
@@ -138,7 +140,7 @@ TEST_P(ExecutorTest, PaperAnnotationQueryShape) {
     )
   )");
   // Accessible: patient 16 (no treatment), names 8/15/18, regular 5.
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{5, 8, 15, 16, 18}));
+  EXPECT_EQ(ids, (std::vector<int64_t>{5, 8, 15, 16, 18}));
 }
 
 TEST_P(ExecutorTest, UnionDeduplicates) {
@@ -193,8 +195,8 @@ TEST_P(ExecutorTest, Update) {
   LoadHospital();
   auto n = exec_.Query("UPDATE patient SET s = '+' WHERE id = 2");
   ASSERT_TRUE(n.ok()) << n.status();
-  ResultSet rs = MustQuery("SELECT p.id FROM patient p WHERE p.s = '+'");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{2, 16}));
+  EXPECT_EQ(Ids("SELECT p.id FROM patient p WHERE p.s = '+'"),
+            (std::vector<int64_t>{2, 16}));
 }
 
 TEST_P(ExecutorTest, UpdateAllRows) {
@@ -207,10 +209,10 @@ TEST_P(ExecutorTest, UpdateAllRows) {
 TEST_P(ExecutorTest, Delete) {
   LoadHospital();
   ASSERT_TRUE(exec_.Query("DELETE FROM treatment WHERE pid = 2").ok());
-  ResultSet rs = MustQuery("SELECT t.id FROM treatment t");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{11}));
+  EXPECT_EQ(Ids("SELECT t.id FROM treatment t"),
+            (std::vector<int64_t>{11}));
   // A join through the deleted tuple yields nothing.
-  rs = MustQuery(
+  ResultSet rs = MustQuery(
       "SELECT r.id FROM treatment t, regular r WHERE t.id = r.pid");
   EXPECT_TRUE(rs.rows.empty());
 }
@@ -253,9 +255,9 @@ TEST_P(ExecutorTest, SelfJoinWithAliases) {
     CREATE TABLE e (id INT, mgr INT);
     INSERT INTO e VALUES (1, NULL), (2, 1), (3, 1), (4, 2);
   )");
-  ResultSet rs = MustQuery(
-      "SELECT b.id FROM e a, e b WHERE a.id = b.mgr AND a.mgr = 1");
-  EXPECT_EQ(SortedIds(rs), (std::vector<int64_t>{4}));
+  EXPECT_EQ(
+      Ids("SELECT b.id FROM e a, e b WHERE a.id = b.mgr AND a.mgr = 1"),
+      (std::vector<int64_t>{4}));
 }
 
 TEST_P(ExecutorTest, ErrorsSurface) {
@@ -292,6 +294,92 @@ TEST_P(ExecutorTest, InsertWithColumnListFillsNulls) {
   ASSERT_TRUE(exec_.Query("INSERT INTO t (id, v) VALUES (1, 'x')").ok());
   ResultSet rs = MustQuery("SELECT t.id FROM t WHERE t.pid IS NULL");
   EXPECT_EQ(rs.rows.size(), 1u);
+}
+
+TEST_P(ExecutorTest, IndexJoinScansOnlyProbedRows) {
+  LoadHospital();
+  ASSERT_TRUE(catalog_.GetTable("name")->CreateIndex("pid").ok());
+  const char* sql =
+      "SELECT n.id FROM patient p, name n WHERE p.id = n.pid AND p.s = '+'";
+  exec_.ResetStats();
+  EXPECT_EQ(Ids(sql), (std::vector<int64_t>{18}));
+  // The 3 patient rows, then only the one name row under patient 16: a
+  // scan of name (3 rows) would make it 6.
+  EXPECT_EQ(exec_.stats().rows_scanned, 3u + 1u);
+  EXPECT_EQ(exec_.stats().index_hits, 1u);
+  EXPECT_EQ(exec_.stats().rows_output, 1u);
+}
+
+TEST_P(ExecutorTest, UnindexedJoinScansAndHashes) {
+  LoadHospital();
+  exec_.ResetStats();
+  EXPECT_EQ(Ids("SELECT n.id FROM patient p, name n "
+                "WHERE p.id = n.pid AND p.s = '+'"),
+            (std::vector<int64_t>{18}));
+  EXPECT_EQ(exec_.stats().rows_scanned, 3u + 3u);
+  EXPECT_EQ(exec_.stats().index_hits, 0u);
+}
+
+TEST_P(ExecutorTest, IndexJoinKeepsHashJoinOrderAfterUpdates) {
+  // The same table twice, one copy indexed on the join column before rows
+  // move between its buckets; both must emit the same tuples in the same
+  // order (outer rows, then ascending inner rows).
+  Catalog unindexed_catalog(GetParam());
+  Executor unindexed(&unindexed_catalog);
+  const char* setup = R"(
+    CREATE TABLE p (id INT);
+    CREATE TABLE c (id INT, pid INT);
+    INSERT INTO p VALUES (1), (2), (3);
+    INSERT INTO c VALUES (10, 1), (11, 2), (12, 3), (13, 1), (14, 2), (15, 3);
+  )";
+  const char* updates = R"(
+    UPDATE c SET pid = 1 WHERE id = 15;
+    UPDATE c SET pid = 1 WHERE id = 11;
+    DELETE FROM c WHERE id = 13;
+    INSERT INTO c VALUES (16, 1);
+  )";
+  Load(setup);
+  ASSERT_TRUE(catalog_.GetTable("c")->CreateIndex("pid").ok());
+  Load(updates);
+  ASSERT_TRUE(unindexed.Run(setup).ok());
+  ASSERT_TRUE(unindexed.Run(updates).ok());
+  const char* sql = "SELECT c.id FROM p, c WHERE p.id = c.pid";
+  auto st = ParseSql(sql);
+  ASSERT_TRUE(st.ok()) << st.status();
+  auto plan = exec_.ExplainSelect(st->select);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->find("INDEX JOIN c"), std::string::npos) << *plan;
+  auto hashed = unindexed.Query(sql);
+  ASSERT_TRUE(hashed.ok()) << hashed.status();
+  EXPECT_EQ(MustQuery(sql).ToString(), hashed->ToString());
+  EXPECT_EQ(hashed->ToString(), "id\n10\n11\n15\n16\n14\n12\n");
+}
+
+TEST_P(ExecutorTest, SelectIdsRejectsAnythingButOneIntColumn) {
+  LoadHospital();
+  auto code = [&](std::string_view sql) {
+    auto st = ParseSql(sql);
+    EXPECT_TRUE(st.ok()) << st.status();
+    return st.ok() ? exec_.SelectIds(st->select).status().code()
+                   : StatusCode::kInternal;
+  };
+  EXPECT_EQ(code("SELECT p.id, p.pid FROM patient p"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("SELECT p.id FROM patient p UNION "
+                 "SELECT p.id, p.pid FROM patient p"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("SELECT p.id FROM patient p EXCEPT SELECT n.v FROM name n"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("SELECT COUNT(*) FROM patient p"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("SELECT p.id FROM patient p LIMIT 1"),
+            StatusCode::kInvalidArgument);
+  // An INT column holding NULL (the root's pid) is not an id list either.
+  EXPECT_EQ(code("SELECT t.pid FROM patients t"),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code("SELECT p.nosuch FROM patient p"), StatusCode::kNotFound);
+  // Any INT column is fine; the result is a set.
+  EXPECT_EQ(Ids("SELECT p.pid FROM patient p"), (std::vector<int64_t>{1}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, ExecutorTest,

@@ -45,13 +45,37 @@ TEST_F(ExplainTest, SingleTableScan) {
   EXPECT_NE(plan.find("FILTER p.s = '-'"), std::string::npos) << plan;
 }
 
-TEST_F(ExplainTest, HashJoinRecognized) {
+TEST_F(ExplainTest, IndexJoinRecognized) {
+  // Shredded tables carry id/pid indexes, so the pid join probes the index.
   std::string plan = Explain(
       "SELECT t.id FROM patient p, treatment t WHERE p.id = t.pid");
   EXPECT_NE(plan.find("SCAN patient AS p"), std::string::npos) << plan;
-  EXPECT_NE(plan.find("HASH JOIN treatment AS t ON p.id = t.pid"),
+  EXPECT_NE(plan.find("INDEX JOIN treatment AS t ON p.id = t.pid"),
             std::string::npos)
       << plan;
+  EXPECT_EQ(plan.find("HASH JOIN"), std::string::npos) << plan;
+}
+
+TEST_F(ExplainTest, HashJoinRecognized) {
+  // An equi-join on a column without an index: text values here, and the
+  // pid join itself in a store built without indexes (ablation A3).
+  std::string plan =
+      Explain("SELECT n.id FROM psn p, name n WHERE p.v = n.v");
+  EXPECT_NE(plan.find("HASH JOIN name AS n ON p.v = n.v"), std::string::npos)
+      << plan;
+  Catalog unindexed(StorageKind::kRowStore);
+  ASSERT_TRUE(mapping_->CreateTables(&unindexed, /*with_indexes=*/false).ok());
+  Executor exec(&unindexed);
+  auto st = ParseSql(
+      "SELECT t.id FROM patient p, treatment t WHERE p.id = t.pid");
+  ASSERT_TRUE(st.ok()) << st.status();
+  auto unindexed_plan = exec.ExplainSelect(st->select);
+  ASSERT_TRUE(unindexed_plan.ok()) << unindexed_plan.status();
+  EXPECT_NE(unindexed_plan->find("HASH JOIN treatment AS t ON p.id = t.pid"),
+            std::string::npos)
+      << *unindexed_plan;
+  EXPECT_EQ(unindexed_plan->find("INDEX JOIN"), std::string::npos)
+      << *unindexed_plan;
 }
 
 TEST_F(ExplainTest, CrossJoinFallsBackToNestedLoop) {
@@ -82,7 +106,8 @@ TEST_F(ExplainTest, TranslatedAnnotationQueryExplains) {
   ASSERT_TRUE(tr.ok());
   auto plan = exec_->ExplainSelect(tr->query);
   ASSERT_TRUE(plan.ok()) << plan.status();
-  EXPECT_NE(plan->find("HASH JOIN"), std::string::npos) << *plan;
+  EXPECT_NE(plan->find("INDEX JOIN"), std::string::npos) << *plan;
+  EXPECT_EQ(plan->find("HASH JOIN"), std::string::npos) << *plan;
   EXPECT_NE(plan->find("DISTINCT"), std::string::npos) << *plan;
 }
 

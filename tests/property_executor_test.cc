@@ -1,11 +1,13 @@
-// Differential test: the query executor (hash joins, pushed filters, index
-// fast paths) against a brute-force reference evaluator (full cartesian
-// product, direct expression evaluation) on random tables and queries.
+// Differential test: the query executor (index and hash joins, pushed
+// filters, index fast paths, the row and the id projections) against a
+// brute-force reference evaluator (full cartesian product, direct expression
+// evaluation) on random tables and queries.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/random.h"
 #include "reldb/executor.h"
@@ -127,33 +129,64 @@ std::string SortedRows(std::vector<Row> rows) {
   return out;
 }
 
+// Three small tables with overlapping value domains so joins hit.  Each
+// column of a table is indexed or not at random; after indexing some rows
+// are updated (moving them between index buckets) and some deleted.
+void FillTables(Random& rng, Catalog* catalog) {
+  for (const char* name : {"t1", "t2", "t3"}) {
+    auto t = catalog->CreateTable(TableSchema(
+        name, {{"a", ValueType::kInt64},
+               {"b", ValueType::kInt64},
+               {"s", ValueType::kString}}));
+    ASSERT_TRUE(t.ok());
+    auto random_b = [&] {
+      return rng.OneIn(8)
+                 ? Value::Null()
+                 : Value::Int(static_cast<int64_t>(rng.Uniform(6)));
+    };
+    size_t rows = 3 + rng.Uniform(12);
+    for (size_t i = 0; i < rows; ++i) {
+      Row row = {Value::Int(static_cast<int64_t>(rng.Uniform(6))), random_b(),
+                 Value::Str(std::string(1, static_cast<char>(
+                                               'a' + rng.Uniform(4))))};
+      ASSERT_TRUE((*t)->Insert(std::move(row)).ok());
+    }
+    for (const char* col : {"a", "b"}) {
+      if (rng.OneIn(2)) {
+        ASSERT_TRUE((*t)->CreateIndex(col).ok());
+      }
+    }
+    for (RowIdx i = 0; i < rows; ++i) {
+      if (rng.OneIn(5)) {
+        (*t)->SetValue(i, 0, Value::Int(static_cast<int64_t>(rng.Uniform(6))));
+        (*t)->SetValue(i, 1, random_b());
+      }
+      if (rng.OneIn(5)) (*t)->DeleteRow(i);
+    }
+  }
+}
+
+// The reference's answer for SelectIds: the sorted distinct values of a
+// one-column INT projection, or nullopt where SelectIds must refuse.
+std::optional<std::vector<int64_t>> RefIds(const SelectQuery& q,
+                                           const std::vector<Row>& rows) {
+  if (q.select.size() != 1 || q.select[0].column == "s") return std::nullopt;
+  std::set<int64_t> ids;
+  for (const Row& r : rows) {
+    if (r[0].type() != ValueType::kInt64) return std::nullopt;
+    ids.insert(r[0].AsInt());
+  }
+  return std::vector<int64_t>(ids.begin(), ids.end());
+}
+
 class ExecutorPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ExecutorPropertyTest, MatchesBruteForceReference) {
   Random rng(GetParam() * 7 + 13);
   for (auto kind : {StorageKind::kRowStore, StorageKind::kColumnStore}) {
     Catalog catalog(kind);
-    // Three small tables with overlapping value domains so joins hit.
-    for (const char* name : {"t1", "t2", "t3"}) {
-      auto t = catalog.CreateTable(TableSchema(
-          name, {{"a", ValueType::kInt64},
-                 {"b", ValueType::kInt64},
-                 {"s", ValueType::kString}}));
-      ASSERT_TRUE(t.ok());
-      size_t rows = 3 + rng.Uniform(12);
-      for (size_t i = 0; i < rows; ++i) {
-        Row row = {Value::Int(static_cast<int64_t>(rng.Uniform(6))),
-                   rng.OneIn(8) ? Value::Null()
-                                : Value::Int(static_cast<int64_t>(
-                                      rng.Uniform(6))),
-                   Value::Str(std::string(1, static_cast<char>(
-                                                 'a' + rng.Uniform(4))))};
-        ASSERT_TRUE((*t)->Insert(std::move(row)).ok());
-      }
-      if (rng.OneIn(2)) {
-        ASSERT_TRUE((*t)->CreateIndex("a").ok());
-      }
-    }
+    FillTables(rng, &catalog);
+    if (HasFatalFailure()) return;
     Executor exec(&catalog);
 
     auto random_operand = [&](const std::vector<std::string>& aliases) {
@@ -189,12 +222,9 @@ TEST_P(ExecutorPropertyTest, MatchesBruteForceReference) {
       return e;
     };
 
-    for (int round = 0; round < 25; ++round) {
-      // Failure reports lead with the seed, like the testing/ harness: the
-      // whole round is deterministic in it, so "seed N round R" is a repro.
-      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " round " +
-                   std::to_string(round) + " storage " +
-                   (kind == StorageKind::kRowStore ? "row" : "column"));
+    // A SELECT over 1-3 random slots; `id_column` makes it project one
+    // INT column, as the operands of SelectIds do.
+    auto random_select = [&](bool id_column) {
       SelectQuery q;
       size_t slots = 1 + rng.Uniform(3);
       const char* names[] = {"t1", "t2", "t3"};
@@ -206,20 +236,111 @@ TEST_P(ExecutorPropertyTest, MatchesBruteForceReference) {
         aliases.push_back(tr.alias);
         q.from.push_back(tr);
       }
-      size_t ncols = 1 + rng.Uniform(2);
+      size_t ncols = id_column ? 1 : 1 + rng.Uniform(2);
       const char* cols[] = {"a", "b", "s"};
       for (size_t c = 0; c < ncols; ++c) {
-        q.select.push_back(
-            {aliases[rng.Uniform(aliases.size())], cols[rng.Uniform(3)]});
+        q.select.push_back({aliases[rng.Uniform(aliases.size())],
+                            cols[rng.Uniform(id_column ? 2 : 3)]});
       }
       if (!rng.OneIn(5)) q.where = random_where(aliases);
+      // Most later slots join an earlier one on an INT column, as the
+      // shredder's pid chains do, so index joins (and their NULL probes)
+      // meet the random filters above.
+      for (size_t s = 1; s < slots; ++s) {
+        if (rng.OneIn(4)) continue;
+        const char* int_cols[] = {"a", "b"};
+        ExprPtr join = Expr::Compare(
+            CompareOp::kEq, Expr::Column(aliases[s], int_cols[rng.Uniform(2)]),
+            Expr::Column(aliases[rng.Uniform(s)], int_cols[rng.Uniform(2)]));
+        if (rng.OneIn(2)) std::swap(join->children[0], join->children[1]);
+        q.where = q.where == nullptr
+                      ? std::move(join)
+                      : Expr::And(std::move(q.where), std::move(join));
+      }
+      return q;
+    };
 
+    for (int round = 0; round < 25; ++round) {
+      // Failure reports lead with the seed, like the testing/ harness: the
+      // whole round is deterministic in it, so "seed N round R" is a repro.
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " round " +
+                   std::to_string(round) + " storage " +
+                   (kind == StorageKind::kRowStore ? "row" : "column"));
+      SelectQuery q = random_select(/*id_column=*/false);
       std::vector<Row> expected = RefSelect(q, &catalog);
       CompoundSelect cq;
       cq.first = q.Clone();
       auto got = exec.ExecuteSelect(cq);
       ASSERT_TRUE(got.ok()) << got.status() << "\n" << q.ToSql();
       EXPECT_EQ(SortedRows(got->rows), SortedRows(expected)) << q.ToSql();
+      auto ids = exec.SelectIds(cq);
+      auto want_ids = RefIds(q, expected);
+      if (want_ids.has_value()) {
+        ASSERT_TRUE(ids.ok()) << ids.status() << "\n" << q.ToSql();
+        EXPECT_EQ(*ids, *want_ids) << q.ToSql();
+      } else {
+        EXPECT_EQ(ids.status().code(), StatusCode::kInvalidArgument)
+            << q.ToSql();
+      }
+    }
+
+    // UNION / EXCEPT chains (left-associative, set semantics) through both
+    // projections.
+    for (int round = 0; round < 10; ++round) {
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " compound " +
+                   std::to_string(round) + " storage " +
+                   (kind == StorageKind::kRowStore ? "row" : "column"));
+      CompoundSelect cq;
+      cq.first = random_select(/*id_column=*/true);
+      std::vector<Row> first = RefSelect(cq.first, &catalog);
+      std::set<std::string> want_rows;
+      for (const Row& r : first) want_rows.insert(SortedRows({r}));
+      std::optional<std::vector<int64_t>> want_ids = RefIds(cq.first, first);
+      std::set<int64_t> id_set;
+      if (want_ids.has_value()) {
+        id_set.insert(want_ids->begin(), want_ids->end());
+      }
+      size_t operands = 1 + rng.Uniform(3);
+      for (size_t k = 0; k < operands; ++k) {
+        auto op = rng.OneIn(2) ? CompoundSelect::SetOp::kUnion
+                               : CompoundSelect::SetOp::kExcept;
+        CompoundSelect sub;
+        sub.first = random_select(/*id_column=*/true);
+        std::vector<Row> rows = RefSelect(sub.first, &catalog);
+        auto sub_ids = RefIds(sub.first, rows);
+        for (const Row& r : rows) {
+          if (op == CompoundSelect::SetOp::kUnion) {
+            want_rows.insert(SortedRows({r}));
+          } else {
+            want_rows.erase(SortedRows({r}));
+          }
+        }
+        if (!sub_ids.has_value()) want_ids.reset();
+        if (want_ids.has_value()) {
+          for (int64_t id : *sub_ids) {
+            if (op == CompoundSelect::SetOp::kUnion) {
+              id_set.insert(id);
+            } else {
+              id_set.erase(id);
+            }
+          }
+        }
+        cq.rest.emplace_back(op, std::move(sub));
+      }
+      auto got = exec.ExecuteSelect(cq);
+      ASSERT_TRUE(got.ok()) << got.status() << "\n" << cq.ToSql();
+      std::string want_text;
+      for (const std::string& line : want_rows) want_text += line;
+      EXPECT_EQ(SortedRows(got->rows), want_text) << cq.ToSql();
+      auto ids = exec.SelectIds(cq);
+      if (want_ids.has_value()) {
+        ASSERT_TRUE(ids.ok()) << ids.status() << "\n" << cq.ToSql();
+        EXPECT_EQ(*ids, std::vector<int64_t>(id_set.begin(), id_set.end()))
+            << cq.ToSql();
+      } else {
+        EXPECT_EQ(ids.status().code(), StatusCode::kInvalidArgument)
+            << cq.ToSql();
+      }
     }
   }
 }

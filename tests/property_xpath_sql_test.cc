@@ -51,6 +51,22 @@ std::vector<int64_t> TreeIds(const xpath::Path& p, const xml::Document& doc) {
   return out;
 }
 
+// The translated query's ids through SelectIds, which must equal the row
+// path's DISTINCT result.
+std::vector<int64_t> SqlIds(reldb::Executor& exec,
+                            const reldb::CompoundSelect& q) {
+  auto ids = exec.SelectIds(q);
+  EXPECT_TRUE(ids.ok()) << ids.status() << " for " << q.ToSql();
+  auto rs = exec.ExecuteSelect(q);
+  EXPECT_TRUE(rs.ok()) << rs.status() << " for " << q.ToSql();
+  if (!ids.ok() || !rs.ok()) return {};
+  std::vector<int64_t> from_rows;
+  for (const reldb::Row& r : rs->rows) from_rows.push_back(r[0].AsInt());
+  std::sort(from_rows.begin(), from_rows.end());
+  EXPECT_EQ(*ids, from_rows) << q.ToSql();
+  return *ids;
+}
+
 class XPathSqlPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(XPathSqlPropertyTest, TranslationAgreesWithEvaluator) {
@@ -68,10 +84,7 @@ TEST_P(XPathSqlPropertyTest, TranslationAgreesWithEvaluator) {
     ASSERT_TRUE(tr.ok()) << tr.status() << " for " << xpath::ToString(p);
     std::vector<int64_t> sql_ids;
     if (!tr->empty) {
-      auto rs = c.exec->ExecuteSelect(tr->query);
-      ASSERT_TRUE(rs.ok()) << rs.status() << " for " << xpath::ToString(p);
-      sql_ids = rs->IdColumn();
-      std::sort(sql_ids.begin(), sql_ids.end());
+      sql_ids = SqlIds(*c.exec, tr->query);
     }
     EXPECT_EQ(sql_ids, TreeIds(p, c.doc)) << xpath::ToString(p);
   }
@@ -109,10 +122,7 @@ TEST_P(XPathSqlGeneratedPropertyTest, TranslationAgreesWithEvaluator) {
                          << " (seed " << seed << ")";
     std::vector<int64_t> sql_ids;
     if (!tr->empty) {
-      auto rs = exec.ExecuteSelect(tr->query);
-      ASSERT_TRUE(rs.ok()) << rs.status() << " for " << xpath::ToString(p);
-      sql_ids = rs->IdColumn();
-      std::sort(sql_ids.begin(), sql_ids.end());
+      sql_ids = SqlIds(exec, tr->query);
     }
     EXPECT_EQ(sql_ids, TreeIds(p, instance.doc))
         << xpath::ToString(p) << " (seed " << seed << ")";
@@ -148,10 +158,7 @@ TEST(XPathSqlHospitalPropertyTest, TranslationAgreesWithEvaluator) {
     ASSERT_TRUE(tr.ok()) << tr.status() << " for " << xpath::ToString(p);
     std::vector<int64_t> sql_ids;
     if (!tr->empty) {
-      auto rs = exec.ExecuteSelect(tr->query);
-      ASSERT_TRUE(rs.ok()) << rs.status();
-      sql_ids = rs->IdColumn();
-      std::sort(sql_ids.begin(), sql_ids.end());
+      sql_ids = SqlIds(exec, tr->query);
     }
     EXPECT_EQ(sql_ids, TreeIds(p, doc)) << xpath::ToString(p);
   }

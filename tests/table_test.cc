@@ -71,9 +71,11 @@ TEST_P(TableParamTest, IndexLookup) {
   auto col = t->schema().ColumnIndex("pid");
   ASSERT_TRUE(col.has_value());
   EXPECT_TRUE(t->HasIndex(*col));
-  auto rows = t->IndexLookup(*col, Value::Int(3));
-  EXPECT_EQ(rows.size(), 10u);
-  for (RowIdx i : rows) EXPECT_EQ(t->GetValue(i, *col).AsInt(), 3);
+  const std::vector<RowIdx>* rows = t->IndexProbe(*col, Value::Int(3));
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(rows->size(), 10u);
+  for (RowIdx i : *rows) EXPECT_EQ(t->GetValue(i, *col).AsInt(), 3);
+  EXPECT_EQ(t->IndexProbe(*col, Value::Int(42)), nullptr);
 }
 
 TEST_P(TableParamTest, IndexMaintainedAcrossMutations) {
@@ -82,14 +84,36 @@ TEST_P(TableParamTest, IndexMaintainedAcrossMutations) {
   size_t id_col = *t->schema().ColumnIndex("id");
   // Insert after index creation.
   ASSERT_TRUE(t->Insert(MakeRow(7, 0, "a", "-")).ok());
-  EXPECT_EQ(t->IndexLookup(id_col, Value::Int(7)).size(), 1u);
+  ASSERT_NE(t->IndexProbe(id_col, Value::Int(7)), nullptr);
+  EXPECT_EQ(t->IndexProbe(id_col, Value::Int(7))->size(), 1u);
   // Update moves the entry.
   t->SetValue(0, id_col, Value::Int(8));
-  EXPECT_TRUE(t->IndexLookup(id_col, Value::Int(7)).empty());
-  EXPECT_EQ(t->IndexLookup(id_col, Value::Int(8)).size(), 1u);
+  EXPECT_EQ(t->IndexProbe(id_col, Value::Int(7)), nullptr);
+  ASSERT_NE(t->IndexProbe(id_col, Value::Int(8)), nullptr);
+  EXPECT_EQ(t->IndexProbe(id_col, Value::Int(8))->size(), 1u);
   // Delete removes it.
   t->DeleteRow(0);
-  EXPECT_TRUE(t->IndexLookup(id_col, Value::Int(8)).empty());
+  EXPECT_EQ(t->IndexProbe(id_col, Value::Int(8)), nullptr);
+}
+
+TEST_P(TableParamTest, IndexBucketsStayInRowOrderAcrossUpdates) {
+  auto t = Make();
+  ASSERT_TRUE(t->CreateIndex("pid").ok());
+  size_t pid_col = *t->schema().ColumnIndex("pid");
+  for (int64_t i = 0; i < 6; ++i) {
+    ASSERT_TRUE(t->Insert(MakeRow(i, i % 2, "v", "-")).ok());
+  }
+  // Rows 5, 3 and 1 move into pid 0's bucket, in descending row order; a
+  // delete and a re-insert follow.
+  t->SetValue(5, pid_col, Value::Int(0));
+  t->SetValue(3, pid_col, Value::Int(0));
+  t->SetValue(1, pid_col, Value::Int(0));
+  t->DeleteRow(2);
+  ASSERT_TRUE(t->Insert(MakeRow(6, 0, "v", "-")).ok());
+  const std::vector<RowIdx>* rows = t->IndexProbe(pid_col, Value::Int(0));
+  ASSERT_NE(rows, nullptr);
+  EXPECT_EQ(*rows, (std::vector<RowIdx>{0, 1, 3, 4, 5, 6}));
+  EXPECT_EQ(t->IndexProbe(pid_col, Value::Int(1)), nullptr);
 }
 
 TEST_P(TableParamTest, DuplicateIndexRejected) {

@@ -39,12 +39,9 @@ class XPathToSqlTest : public ::testing::TestWithParam<reldb::StorageKind> {
     auto tr = TranslateXPath(*path, *mapping_);
     EXPECT_TRUE(tr.ok()) << tr.status() << " for " << expr;
     if (!tr.ok() || tr->empty) return {};
-    auto rs = exec_->ExecuteSelect(tr->query);
-    EXPECT_TRUE(rs.ok()) << rs.status() << " for " << tr->query.ToSql();
-    if (!rs.ok()) return {};
-    auto ids = rs->IdColumn();
-    std::sort(ids.begin(), ids.end());
-    return ids;
+    auto ids = exec_->SelectIds(tr->query);
+    EXPECT_TRUE(ids.ok()) << ids.status() << " for " << tr->query.ToSql();
+    return ids.ok() ? *ids : std::vector<int64_t>{};
   }
 
   std::vector<int64_t> TreeIds(std::string_view expr) {
